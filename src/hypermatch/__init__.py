@@ -17,12 +17,10 @@ from .core import (
     load,
     min_l_degree,
     remove,
-    restrict,
     save,
     to_json,
 )
 from .constructions import (
-    PartitionBarrier,
     build_clique_minus,
     build_parity,
     build_space_barrier,

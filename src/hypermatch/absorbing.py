@@ -20,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, comb
+from math import comb
 from typing import NamedTuple
 
-from .core import Hypergraph, induced, vertex_subset
-from .errors import AbsorptionStuckError, DomainError, SizeLimitError
+from .core import Hypergraph, _mask, induced, vertex_subset
+from .errors import AbsorptionStuckError, CertificationError, DomainError, SizeLimitError
 from .exact import max_matching, validate_matching
-from .rng import TAG_FAMILY, TAG_PROBE, CounterRng
+from .rng import TAG_FAMILY, TAG_PROBE, CounterRng, bernoulli_subsets
 
 ENUMERATE_MAX_N = 20
 
@@ -73,7 +73,7 @@ def default_parameters(k: int, l: int) -> AbsorbingParameters:
     """The (a, h) minimizing the leftover bound a*l + h - 1, for k/2 < l < k."""
     if not k / 2 < l < k:
         raise DomainError(f"defaults need k/2 < l < k, got k={k}, l={l}")
-    a = ceil((k - l) / (2 * l - k))
+    a = -(-(k - l) // (2 * l - k))  # ceil((k-l)/(2l-k))
     return AbsorbingParameters(k, l, a, k - a * (2 * l - k))
 
 
@@ -168,19 +168,13 @@ def sample_absorbing_family(
         p = Fraction(1)
 
     rng = CounterRng(seed)
-    raw = [
-        cand
-        for index, cand in enumerate(combinations(range(n), qk))
-        if rng.bernoulli(p, TAG_FAMILY, index)
-    ]
+    raw = list(bernoulli_subsets(n, qk, p, rng, TAG_FAMILY))
 
     disjoint = []
     used = 0
     dropped_intersecting = 0
     for cand in raw:
-        m = 0
-        for v in cand:
-            m |= 1 << v
+        m = _mask(cand)
         if m & used:
             dropped_intersecting += 1
         else:
@@ -274,11 +268,12 @@ def absorb(H: Hypergraph, family: AbsorbingFamily, S) -> AbsorbResult:
         covered_now = {v for e in round_matching for v in e}
         before = len(leftover)
         leftover = sorted((set(leftover) | set(q)) - covered_now)
-        assert len(leftover) == before - H.k, "each round must shrink the leftover by k"
+        if len(leftover) != before - H.k:
+            raise CertificationError("an absorption round must shrink the leftover by k")
 
     final = tuple(replacement_edges) + tuple(
         e for idx in unused for e in family.member_matchings[idx]
     )
     if not validate_matching(H, final):
-        raise AssertionError("absorption produced an invalid matching")
+        raise CertificationError("absorption produced an invalid matching")
     return AbsorbResult(final, tuple(leftover))

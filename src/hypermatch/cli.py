@@ -17,9 +17,10 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import ceil
 
 from . import closeness, constructions, core, fractional, pipeline, stability
-from .absorbing import AbsorbingParameters, absorb, sample_absorbing_family
+from .absorbing import AbsorbingParameters, absorb, default_parameters, sample_absorbing_family
 from .errors import AbsorptionStuckError, DomainError, PipelineError, SizeLimitError
 from .exact import berge_deficiency, independence_number, max_matching
 from .rng import TAG_SET_SAMPLE, CounterRng, random_hypergraph
@@ -397,10 +398,9 @@ def cmd_sweep(args):
     for n in range(args.n_start, args.n_end + 1):
         ms = set(args.m_list) if args.m_list else set()
         if 2 * l > k:
-            a = -((l - k) // (2 * l - k))  # ceil((k-l)/(2l-k))
+            a = default_parameters(k, l).a
             upper = Fraction(n, k) - 1 - (1 - Fraction(l, k)) * a
-            lower = Fraction(n, k) - args.mu * n
-            m = max(0, -(-lower.numerator // lower.denominator))  # ceil
+            m = max(0, ceil(Fraction(n, k) - args.mu * n))
             while m <= upper:
                 ms.add(m)
                 m += 1
@@ -409,7 +409,7 @@ def cmd_sweep(args):
                 if near >= 0:
                     ms.add(near)
         for m in sorted(ms):
-            if m > n - l or m > n:
+            if m > n - l:
                 continue
             barrier = constructions.build_space_barrier(n, k, k, m)
             thr = constructions.threshold_formula(n, k, l, m)

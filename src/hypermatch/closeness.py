@@ -15,11 +15,12 @@ from itertools import combinations
 from math import ceil, comb, factorial
 
 from .constructions import barrier_edges, space_barrier_edge_count
-from .core import Hypergraph, vertex_subset
+from .core import Hypergraph, _mask, vertex_subset
 from .errors import DomainError, SizeLimitError
 from .rng import TAG_SEARCH, TAG_SET_SAMPLE, CounterRng
 
 CLOSEST_MAX_N = 16
+CLOSEST_RESTARTS = 5  # seeded starts of the local-search mode
 DENSITY_MAX_N = 16
 
 
@@ -75,7 +76,7 @@ def classify_good(H: Hypergraph, m: int, s: int, W, alpha: Fraction) -> Goodness
     return GoodnessReport(tuple(good), tuple(bad), alpha, bound, len(bad) <= bound)
 
 
-def _deficit_of(H: Hypergraph, s: int, w_mask: int, m: int, barrier_total: int) -> int:
+def _deficit_of(H: Hypergraph, s: int, w_mask: int, barrier_total: int) -> int:
     hits = 0
     for em in H.edge_masks:
         c = (em & w_mask).bit_count()
@@ -90,7 +91,6 @@ def closest_partition(
     s: int,
     local: bool = False,
     seed: int = 0,
-    restarts: int = 5,
     force: bool = False,
 ) -> tuple:
     """W of size m minimizing the barrier deficit, with the deficit.
@@ -113,10 +113,7 @@ def closest_partition(
             )
         best_w, best_d = None, None
         for w in combinations(range(H.n), m):
-            wm = 0
-            for v in w:
-                wm |= 1 << v
-            d = _deficit_of(H, s, wm, m, barrier_total)
+            d = _deficit_of(H, s, _mask(w), barrier_total)
             if best_d is None or d < best_d:
                 best_w, best_d = w, d
                 if d == 0:
@@ -125,12 +122,10 @@ def closest_partition(
 
     rng = CounterRng(seed)
     best_w, best_d = None, None
-    for r in range(max(1, restarts)):
+    for r in range(CLOSEST_RESTARTS):
         w = sorted(rng.sample(list(range(H.n)), m, TAG_SEARCH, r))
-        wm = 0
-        for v in w:
-            wm |= 1 << v
-        d = _deficit_of(H, s, wm, m, barrier_total)
+        wm = _mask(w)
+        d = _deficit_of(H, s, wm, barrier_total)
         improved = True
         while improved:
             improved = False
@@ -138,7 +133,7 @@ def closest_partition(
             for v in list(w):
                 for u in out_side:
                     cand = wm ^ (1 << v) | (1 << u)
-                    cd = _deficit_of(H, s, cand, m, barrier_total)
+                    cd = _deficit_of(H, s, cand, barrier_total)
                     if cd < d:
                         wm, d = cand, cd
                         w = [x for x in range(H.n) if wm >> x & 1]
@@ -182,10 +177,7 @@ def f_density_check(
 
     if n <= DENSITY_MAX_N or force:
         for a in combinations(range(n), size):
-            am = 0
-            for v in a:
-                am |= 1 << v
-            if induced_count(am) < need:
+            if induced_count(_mask(a)) < need:
                 return False, a
         return True, None
 
@@ -193,9 +185,6 @@ def f_density_check(
     universe = list(range(n))
     for t in range(trials):
         a = tuple(sorted(rng.sample(universe, size, TAG_SET_SAMPLE, t)))
-        am = 0
-        for v in a:
-            am |= 1 << v
-        if induced_count(am) < need:
+        if induced_count(_mask(a)) < need:
             return False, a
     return True, None

@@ -9,7 +9,6 @@ large m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -35,49 +34,25 @@ def barrier_edges(n: int, k: int, s: int, W) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class PartitionBarrier:
-    """A (U, W, s) partition family on n vertices; U is the complement of W."""
-
-    n: int
-    k: int
-    s: int
-    w: tuple
-
-    def __post_init__(self):
-        if not 1 <= self.s <= self.k:
-            raise DomainError(f"need 1 <= s <= k, got s={self.s}, k={self.k}")
-        if self.k > self.n:
-            raise DomainError(f"need k <= n, got k={self.k}, n={self.n}")
-        w = tuple(sorted(self.w))
-        if len(set(w)) != len(w) or (w and (w[0] < 0 or w[-1] >= self.n)):
-            raise DomainError(f"W={list(self.w)} is not a vertex subset of 0..{self.n - 1}")
-        object.__setattr__(self, "w", w)
-
-    @property
-    def u(self) -> tuple:
-        wset = set(self.w)
-        return tuple(v for v in range(self.n) if v not in wset)
-
-    def build(self) -> Hypergraph:
-        name = f"H^{self.s}_{self.k}(n={self.n},|W|={len(self.w)})"
-        return Hypergraph(self.n, self.k, barrier_edges(self.n, self.k, self.s, self.w), name=name)
-
-    def edge_count(self) -> int:
-        m = len(self.w)
-        return sum(comb0(m, i) * comb0(self.n - m, self.k - i) for i in range(1, self.s + 1))
-
-
 def build_space_barrier(n: int, k: int, s: int, m: int) -> Hypergraph:
     """The partition family with W = {0, .., m-1} and edges meeting W in [1, s]."""
     if not 0 <= m <= n:
         raise DomainError(f"need 0 <= m <= n, got m={m}, n={n}")
-    return PartitionBarrier(n, k, s, tuple(range(m))).build()
+    return build_space_barrier_at(n, k, s, range(m))
 
 
 def build_space_barrier_at(n: int, k: int, s: int, W) -> Hypergraph:
-    """Same family with an arbitrary cover side W."""
-    return PartitionBarrier(n, k, s, tuple(W)).build()
+    """Same family with an arbitrary cover side W; U is the complement of W."""
+    if not 1 <= s <= k:
+        raise DomainError(f"need 1 <= s <= k, got s={s}, k={k}")
+    if k > n:
+        raise DomainError(f"need k <= n, got k={k}, n={n}")
+    W = tuple(W)
+    w = tuple(sorted(W))
+    if len(set(w)) != len(w) or (w and (w[0] < 0 or w[-1] >= n)):
+        raise DomainError(f"W={list(W)} is not a vertex subset of 0..{n - 1}")
+    name = f"H^{s}_{k}(n={n},|W|={len(w)})"
+    return Hypergraph(n, k, barrier_edges(n, k, s, w), name=name)
 
 
 def space_barrier_edge_count(n: int, k: int, s: int, m: int) -> int:

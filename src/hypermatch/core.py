@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
-from math import comb
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError
@@ -39,16 +38,22 @@ class Hypergraph:
     __slots__ = ("n", "k", "edges", "name", "edge_masks", "edge_set")
 
     def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]], name: str | None = None):
-        if not isinstance(n, int) or n < 0:
+        # type() rather than isinstance(): a bool is an int but never a count or a vertex.
+        if type(n) is not int or n < 0:
             raise DomainError(f"vertex count must be a nonnegative integer, got {n!r}")
-        if not isinstance(k, int) or k < 1:
+        if type(k) is not int or k < 1:
             raise DomainError(f"uniformity must be a positive integer, got {k!r}")
         canon = []
         for raw in edges:
-            e = tuple(sorted(raw))
+            try:
+                e = tuple(sorted(raw))
+            except TypeError:
+                raise DomainError(f"edge {raw!r} is not a list of integer vertices") from None
+            if not all(type(v) is int for v in e):
+                raise DomainError(f"edge {raw!r} is not a list of integer vertices")
             if len(e) != k or len(set(e)) != k:
                 raise DomainError(f"edge {list(raw)} does not have exactly {k} distinct vertices")
-            if e[0] < 0 or e[-1] >= n or not all(isinstance(v, int) for v in e):
+            if e[0] < 0 or e[-1] >= n:
                 raise DomainError(f"edge {list(e)} has vertices outside 0..{n - 1}")
             canon.append(e)
         canon.sort()
@@ -179,13 +184,6 @@ def remove(H: Hypergraph, S: Iterable[int]) -> Subgraph:
     return induced(H, [v for v in range(H.n) if v not in s])
 
 
-def restrict(H: Hypergraph, S: Iterable[int]) -> Hypergraph:
-    """Edges inside S without relabeling (spanning-width restriction)."""
-    s = vertex_subset(H, S)
-    sm = _mask(s)
-    return Hypergraph(H.n, H.k, [e for e, em in zip(H.edges, H.edge_masks) if em & sm == em])
-
-
 def is_independent(H: Hypergraph, S: Iterable[int]) -> bool:
     """True iff S contains no edge of H."""
     sm = _mask(vertex_subset(H, S))
@@ -213,18 +211,23 @@ def from_json(text: str) -> Hypergraph:
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise DomainError("malformed hypergraph file: name must be a string")
+    if not isinstance(obj["edges"], list):
+        raise DomainError("malformed hypergraph file: edges must be a list")
     return Hypergraph(obj["n"], obj["k"], obj["edges"], name=name)
 
 
 def load(path) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read hypergraph file: {exc}") from exc
+    return from_json(text)
 
 
 def save(H: Hypergraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(H))
-
-
-def max_edge_count(n: int, k: int) -> int:
-    return comb(n, k) if 0 <= k <= n else 0
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(to_json(H))
+    except OSError as exc:
+        raise DomainError(f"cannot write hypergraph file: {exc}") from exc

@@ -22,8 +22,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .core import Hypergraph, vertex_subset
-from .errors import DomainError, SizeLimitError
+from .core import Hypergraph, _mask, vertex_subset
+from .errors import CertificationError, DomainError, SizeLimitError
 
 
 class MatchingResult(NamedTuple):
@@ -49,9 +49,7 @@ def validate_matching(H: Hypergraph, matching) -> bool:
         e = tuple(sorted(raw))
         if e not in H.edge_set:
             return False
-        em = 0
-        for v in e:
-            em |= 1 << v
+        em = _mask(e)
         if em & used:
             return False
         used |= em
@@ -187,14 +185,12 @@ def berge_deficiency(G: Hypergraph, force: bool = False) -> BergeCertificate:
         if best is not None and size > best.value:
             break  # every larger W has value >= |W| > current minimum
         for w in combinations(range(n), size):
-            wm = 0
-            for v in w:
-                wm |= 1 << v
-            odd = _odd_components(n, nbr, full & ~wm)
+            odd = _odd_components(n, nbr, full & ~_mask(w))
             value = (n - odd + size) // 2
             if best is None or value < best.value:
                 best = BergeCertificate(w, odd, value)
                 if value == lower:
                     return best
-    assert best is not None
+    if best is None:
+        raise CertificationError("berge_deficiency scanned no cut set")
     return best

@@ -18,7 +18,8 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .constructions import build_space_barrier, comb0
+from .closeness import barrier_deficit
+from .constructions import comb0
 from .core import Hypergraph
 from .errors import CertificationError, DomainError
 from .exact import max_matching
@@ -120,8 +121,7 @@ def stability_closeness_check(H: Hypergraph, m: int, xi: Fraction) -> StabilityC
     if nu > m:
         raise DomainError(f"hypothesis failed: matching number {nu} exceeds m={m}")
     n, k = H.n, H.k
-    barrier = build_space_barrier(n, k, k, m)
-    deficit = sum(1 for e in barrier.edges if e not in H.edge_set)
+    deficit = barrier_deficit(H, m, k, range(m)).deficit
     hypotheses = Fraction(H.num_edges) > comb(n, k) - comb0(n - m, k) - xi * n**k
     if k == 2:
         conclusion = deficit * deficit <= 4 * xi * n**4

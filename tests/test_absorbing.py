@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import hypermatch
+
 from hypermatch import (
     AbsorbingParameters,
     AbsorptionStuckError,
+    CertificationError,
     DomainError,
     Hypergraph,
     SizeLimitError,
@@ -180,6 +186,36 @@ class TestAbsorb:
         with pytest.raises(AbsorptionStuckError) as err:
             absorb(self.K30, lonely, s)
         assert len(err.value.pending) == PARAMS32.r_size
+
+    def test_invalid_final_matching_raises_certification_error(self, monkeypatch):
+        monkeypatch.setattr("hypermatch.absorbing.validate_matching", lambda H, matching: False)
+        with pytest.raises(CertificationError):
+            absorb(self.K30, self.family, tuple(self.free[:8]))
+
+    def test_certification_error_fires_under_python_O(self):
+        script = """
+import sys
+from fractions import Fraction
+import hypermatch.absorbing as ab
+from hypermatch import CertificationError, complete_hypergraph
+K9 = complete_hypergraph(9, 3)
+family = ab.sample_absorbing_family(K9, ab.AbsorbingParameters(3, 2, 1, 2), Fraction(1, 3), 0, probes=0)
+ab.validate_matching = lambda H, matching: False
+try:
+    ab.absorb(K9, family, ())
+except CertificationError:
+    print("CertificationError", sys.flags.optimize)
+"""
+        src = os.path.dirname(os.path.dirname(hypermatch.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert proc.stdout.split() == ["CertificationError", "1"], proc.stderr
 
 
 def test_frozen_family_regression_k30():

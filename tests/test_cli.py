@@ -1,4 +1,6 @@
 import json
+from fractions import Fraction
+from math import ceil
 
 import pytest
 
@@ -153,6 +155,30 @@ class TestBasicCommands:
         assert row["barrier_min_l_degree"] == 2
         assert row["barrier_nu"] == 2
 
+    def test_sweep_m_range_with_absorber_ceiling_two(self, capsys):
+        k, l, mu = 5, 3, Fraction(1, 4)
+        a = ceil(Fraction(k - l, 2 * l - k))
+        assert a == 2
+        code, rep = run_json(
+            capsys, "sweep", "--k", "5", "--l", "3", "--n-start", "10", "--n-end", "12"
+        )
+        assert code == 0
+        rows = rep["results"]["rows"]
+        got = {}
+        for row in rows:
+            got.setdefault(row["n"], set()).add(row["m"])
+        # n/k - mu*n <= m <= n/k - 1 - (1 - l/k)*a; 3l < 2k adds no extra m.
+        expected = {
+            n: {
+                m
+                for m in range(n - l + 1)
+                if Fraction(n, k) - mu * n <= m <= Fraction(n, k) - 1 - (1 - Fraction(l, k)) * a
+            }
+            for n in range(10, 13)
+        }
+        assert got == expected
+        assert all(row["tight"] for row in rows)
+
 
 class TestErrorSurface:
     def test_malformed_file_is_domain_error(self, capsys, tmp_path):
@@ -184,6 +210,35 @@ class TestErrorSurface:
     def test_unknown_flag_is_domain_error(self, capsys, fano_file):
         code, rep = run_json(capsys, "nu", fano_file, "--nope")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "content, argv",
+        [
+            pytest.param(b'{"n": 4, "k": 2, "edges": null}', ["nu", "{file}"], id="edges-null"),
+            pytest.param(b'{"n": 4, "k": 2, "edges": [5]}', ["nu", "{file}"], id="edge-not-list"),
+            pytest.param(b'{"n": 4, "k": 2, "edges": [["a", 1]]}', ["nu", "{file}"], id="string-vertex"),
+            pytest.param(b'{"n": true, "k": 1, "edges": [[0]]}', ["nu", "{file}"], id="bool-n"),
+            pytest.param(b'{"n": 4, "k": true, "edges": [[0]]}', ["nu", "{file}"], id="bool-k"),
+            pytest.param(b'{"n": 4, "k": 2, "edges": [[false, true]]}', ["nu", "{file}"], id="bool-vertices"),
+            pytest.param(b'{"n": 4, "k": 2, "edges": [[0.0, 1]]}', ["nu", "{file}"], id="float-vertex"),
+            pytest.param(b"\xff\xfe", ["nu", "{file}"], id="not-utf8"),
+            pytest.param(None, ["nu", "{file}"], id="missing-file"),
+            pytest.param(
+                None,
+                ["construct", "--family", "clique-minus", "--n", "6", "--k", "3", "-o", "{dir}/out.json"],
+                id="output-dir-missing",
+            ),
+        ],
+    )
+    def test_malformed_input_is_domain_error(self, capsys, tmp_path, content, argv):
+        path = tmp_path / "in.json"
+        if content is not None:
+            path.write_bytes(content)
+        argv = [a.format(file=path, dir=tmp_path / "no-such-dir") for a in argv]
+        code, rep = run_json(capsys, *argv)
+        assert code == 1
+        assert list(rep) == ["error"] and rep["error"]["type"] == "DomainError"
+        assert "outside" not in rep["error"]["message"]
 
 
 class TestReportDiscipline:

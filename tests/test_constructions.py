@@ -5,7 +5,6 @@ import pytest
 
 from hypermatch import (
     DomainError,
-    PartitionBarrier,
     build_clique_minus,
     build_parity,
     build_space_barrier,
@@ -62,7 +61,7 @@ class TestSpaceBarrier:
         with pytest.raises(DomainError):
             build_space_barrier(5, 3, 3, 6)
         with pytest.raises(DomainError):
-            PartitionBarrier(5, 3, 3, (0, 0))
+            build_space_barrier_at(5, 3, 3, (0, 0))
 
 
 class TestThresholdFormula:
