@@ -73,7 +73,6 @@ from .absorbing import (
 )
 from .pipeline import (
     PipelineResult,
-    Round1Thresholds,
     RoundOneSample,
     SparseSubgraph,
     almost_perfect_pipeline,

@@ -5,7 +5,7 @@ a*l >= a*(k-l) + (k-h). An absorber for an (a*l+h)-set R is an a*k-set Q,
 disjoint from R, that spans a matching of size a and satisfies
 nu(H[Q u R]) >= a + 1. Disjointness is required here even though the bare
 definition would allow overlap, because that is the only way absorbers are
-ever used; pass allow_overlap=True to explore the relaxed predicate.
+ever used.
 
 The family sampler draws every a*k-subset of the vertex set independently
 with probability rho * n / C(n, a*k) (clamped to one), then prunes: a
@@ -77,9 +77,7 @@ def default_parameters(k: int, l: int) -> AbsorbingParameters:
     return AbsorbingParameters(k, l, a, k - a * (2 * l - k))
 
 
-def is_absorbing(
-    H: Hypergraph, params: AbsorbingParameters, R, Q, allow_overlap: bool = False
-) -> bool:
+def is_absorbing(H: Hypergraph, params: AbsorbingParameters, R, Q) -> bool:
     """Whether Q absorbs R: Q spans an a-matching and nu(H[Q u R]) >= a + 1."""
     r = vertex_subset(H, R)
     q = vertex_subset(H, Q)
@@ -87,7 +85,7 @@ def is_absorbing(
         raise DomainError(f"|R|={len(r)} must equal a*l+h={params.r_size}")
     if len(q) != params.q_size:
         raise DomainError(f"|Q|={len(q)} must equal a*k={params.q_size}")
-    if not allow_overlap and set(r) & set(q):
+    if set(r) & set(q):
         raise DomainError("Q and R must be disjoint")
     if max_matching(induced(H, q).graph).size < params.a:
         return False

@@ -21,7 +21,7 @@ from math import ceil
 
 from . import closeness, constructions, core, fractional, pipeline, stability
 from .absorbing import AbsorbingParameters, absorb, default_parameters, sample_absorbing_family
-from .errors import AbsorptionStuckError, DomainError, PipelineError, SizeLimitError
+from .errors import CertificationError, DomainError, PipelineError, SizeLimitError
 from .exact import berge_deficiency, independence_number, max_matching
 from .rng import TAG_SET_SAMPLE, CounterRng, random_hypergraph
 
@@ -241,7 +241,7 @@ def cmd_closest(args):
 
 def cmd_fdense(args):
     H = core.load(args.file)
-    dense, witness = closeness.f_density_check(H, args.eps, force=args.force)
+    dense, witness = closeness.f_density_check(H, args.eps, force=args.force, seed=args.seed or 0)
     return {
         "claim": "large-set-density",
         "results": {"dense": dense, "witness": list(witness) if witness else None},
@@ -273,8 +273,7 @@ def cmd_round1(args):
     H = core.load(args.file)
     sample = pipeline.round1_sample(H, args.copies, args.p, args.seed or 0)
     probes = tuple(_vertices(p) for p in args.probe_set or ())
-    thresholds = pipeline.Round1Thresholds(deg_probes=probes, xi=args.xi)
-    report = pipeline.check_round1_properties(sample, H, thresholds)
+    report = pipeline.check_round1_properties(sample, H, probes, args.xi)
     return {
         "claim": "round-one-sample-properties",
         "results": {
@@ -321,7 +320,7 @@ def _suite_katona(trials, seed):
         H = random_hypergraph(n, k, Fraction(1, 2), rng.raw(TAG_SET_SAMPLE, t, 2))
         try:
             stability.katona_check(H)
-        except Exception:
+        except CertificationError:
             failures += 1
     return {"trials": trials, "failures": failures}
 
@@ -597,7 +596,7 @@ def main(argv=None) -> int:
             report["seed"] = args.seed
         emit(report, fmt)
         return EXIT_OK
-    except (AbsorptionStuckError, PipelineError) as exc:
+    except PipelineError as exc:
         emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, fmt)
         return EXIT_STUCK
     except SizeLimitError as exc:

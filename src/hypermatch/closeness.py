@@ -22,6 +22,7 @@ from .rng import TAG_SEARCH, TAG_SET_SAMPLE, CounterRng
 CLOSEST_MAX_N = 16
 CLOSEST_RESTARTS = 5  # seeded starts of the local-search mode
 DENSITY_MAX_N = 16
+DENSITY_TRIALS = 2000  # seeded candidate sets of the sampled mode
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,6 @@ def f_density_check(
     H: Hypergraph,
     eps: Fraction,
     force: bool = False,
-    trials: int = 2000,
     seed: int = 0,
 ) -> tuple:
     """Whether every large vertex set keeps a proportional share of the edges.
@@ -183,7 +183,7 @@ def f_density_check(
 
     rng = CounterRng(seed)
     universe = list(range(n))
-    for t in range(trials):
+    for t in range(DENSITY_TRIALS):
         a = tuple(sorted(rng.sample(universe, size, TAG_SET_SAMPLE, t)))
         if induced_count(_mask(a)) < need:
             return False, a

@@ -90,8 +90,8 @@ class Hypergraph:
         return f"Hypergraph(n={self.n}, k={self.k}, e={self.num_edges}{tag})"
 
 
-def complete_hypergraph(n: int, k: int, name: str | None = None) -> Hypergraph:
-    return Hypergraph(n, k, combinations(range(n), k), name=name)
+def complete_hypergraph(n: int, k: int) -> Hypergraph:
+    return Hypergraph(n, k, combinations(range(n), k))
 
 
 def vertex_subset(H: Hypergraph, members: Iterable[int]) -> tuple:

@@ -15,11 +15,12 @@ lexicographic edge order). It stands in for the regularity-based extraction
 step, which needs scales far beyond desk size.
 
 Desk-scale note: the copy count and p are explicit parameters, and every
-property band is an explicit rational input recorded in the report. Defaults
-center bands on the exact means (copies*p for per-vertex multiplicity, n*p
+property band is derived from (copies, p, n) and recorded in the report.
+Bands center on the exact means (copies*p for per-vertex multiplicity, n*p
 for copy size) with a halfwidth of max(mu^(3/4), 3 + 2*sqrt(mu)), a rational
 rounding of the usual concentration window that stays meaningful when the
-mean is tiny.
+mean is tiny. Pair and edge multiplicities are capped at PAIR_CAP and
+EDGE_CAP.
 """
 
 from __future__ import annotations
@@ -30,11 +31,14 @@ from fractions import Fraction
 from itertools import combinations
 
 from .constructions import comb0
-from .core import Hypergraph, induced
+from .core import Hypergraph, induced, vertex_subset
 from .errors import DomainError, PipelineError
 from .exact import independence_number
 from .fractional import fractional_optimum
 from .rng import TAG_ROUND1, TAG_ROUND2, TAG_TRIM, CounterRng
+
+PAIR_CAP = 2  # most copies any vertex pair may share
+EDGE_CAP = 1  # most copies any host edge may lie in
 
 
 @dataclass(frozen=True)
@@ -100,43 +104,23 @@ def default_halfwidth(mu: Fraction) -> Fraction:
     return Fraction(round(w * 10**6), 10**6)
 
 
-@dataclass(frozen=True)
-class Round1Thresholds:
-    """Desk-scale bands for the round-one property report; None means default."""
-
-    singleton_center: Fraction | None = None
-    singleton_halfwidth: Fraction | None = None
-    size_center: Fraction | None = None
-    size_halfwidth: Fraction | None = None
-    pair_max: int = 2
-    edge_max: int = 1
-    deg_probes: tuple = ()
-    xi: Fraction = Fraction(1, 10)
-
-
 def check_round1_properties(
-    sample: RoundOneSample, H: Hypergraph, thresholds: Round1Thresholds | None = None
+    sample: RoundOneSample, H: Hypergraph, deg_probes=(), xi: Fraction = Fraction(1, 10)
 ) -> dict:
-    """Evaluate the five round-one properties exactly against explicit bands.
+    """Evaluate the five round-one properties exactly against derived bands.
 
     Returns a report keyed by property: per-vertex multiplicity band, pair
     multiplicity cap, edge multiplicity cap, copy-size band, and the degree
-    lower bound at probed sets. Every band used is echoed in the report.
+    lower bound at each probed set of at most k vertices. Every band used is
+    echoed in the report.
     """
-    t = thresholds or Round1Thresholds()
-    ncopies = len(sample.copies)
-    singleton_center = (
-        t.singleton_center if t.singleton_center is not None else ncopies * sample.p
-    )
-    singleton_halfwidth = (
-        t.singleton_halfwidth
-        if t.singleton_halfwidth is not None
-        else default_halfwidth(singleton_center)
-    )
-    size_center = t.size_center if t.size_center is not None else sample.n * sample.p
-    size_halfwidth = (
-        t.size_halfwidth if t.size_halfwidth is not None else default_halfwidth(size_center)
-    )
+    for D in deg_probes:
+        if len(vertex_subset(H, D)) > H.k:
+            raise DomainError(f"probe set larger than uniformity: |D|={len(D)} > k={H.k}")
+    singleton_center = len(sample.copies) * sample.p
+    singleton_halfwidth = default_halfwidth(singleton_center)
+    size_center = sample.n * sample.p
+    size_halfwidth = default_halfwidth(size_center)
 
     report: dict = {}
 
@@ -156,10 +140,10 @@ def check_round1_properties(
     }
 
     pairs = sample.pair_multiplicities()
-    pair_bad = [(pq, c) for pq, c in pairs.items() if c > t.pair_max]
+    pair_bad = [(pq, c) for pq, c in pairs.items() if c > PAIR_CAP]
     report["pair"] = {
         "ok": not pair_bad,
-        "cap": t.pair_max,
+        "cap": PAIR_CAP,
         "max": max(pairs.values(), default=0),
         "violation_count": len(pair_bad),
         "violations": sorted(pair_bad)[:20],
@@ -171,11 +155,11 @@ def check_round1_properties(
     for e, c in ksets.items():
         if e in H.edge_set:
             edge_checked += 1
-            if c > t.edge_max:
+            if c > EDGE_CAP:
                 edge_bad.append((e, c))
     report["edge"] = {
         "ok": not edge_bad,
-        "cap": t.edge_max,
+        "cap": EDGE_CAP,
         "edges_seen_in_copies": edge_checked,
         "max_over_ksets": max(ksets.values(), default=0),
         "violation_count": len(edge_bad),
@@ -196,25 +180,21 @@ def check_round1_properties(
         "violations": size_bad[:20],
     }
 
-    if t.deg_probes:
+    if deg_probes:
         k = sample.k
         deg_bad = []
-        for D in t.deg_probes:
+        for D in deg_probes:
             d = len(D)
             for i, c in enumerate(sample.copies):
                 r = len(c)
-                bound = (
-                    comb0(r - d, k - d)
-                    - comb0(r - d - r // k, k - d)
-                    - t.xi * r ** (k - d)
-                )
+                bound = comb0(r - d, k - d) - comb0(r - d - r // k, k - d) - xi * r ** (k - d)
                 val = sample.deg(H, i, D)
                 if not val > bound:
                     deg_bad.append((tuple(D), i, val))
         report["deg"] = {
             "ok": not deg_bad,
-            "xi": t.xi,
-            "probes": len(t.deg_probes),
+            "xi": xi,
+            "probes": len(deg_probes),
             "violation_count": len(deg_bad),
             "violations": deg_bad[:20],
         }
@@ -247,10 +227,10 @@ def _degree_stats(H: Hypergraph):
 def round2_sparsify(H: Hypergraph, sample: RoundOneSample, fracs, seed: int) -> SparseSubgraph:
     """Union of per-copy edge selections drawn by fractional weight.
 
-    fracs[i] must be a perfect fractional matching of the copy's induced
-    subgraph, keyed by host-labeled edges; entries that are missing, not
-    feasible, or not perfect are skipped with a reason, and the run fails
-    only if nothing survives.
+    fracs[i] is None or a map from host-labeled edges to weights that must
+    be a perfect fractional matching of the copy's induced subgraph; entries
+    that are missing, not feasible, or not perfect are skipped with a reason,
+    and the run fails only if nothing survives.
     """
     if len(fracs) != len(sample.copies):
         raise DomainError("need one fractional solution slot per copy")
@@ -258,11 +238,10 @@ def round2_sparsify(H: Hypergraph, sample: RoundOneSample, fracs, seed: int) -> 
     selected = set()
     survivors = []
     skipped = []
-    for i, (copy, frac) in enumerate(zip(sample.copies, fracs)):
-        if frac is None:
+    for i, (copy, weights) in enumerate(zip(sample.copies, fracs)):
+        if weights is None:
             skipped.append((i, "missing"))
             continue
-        weights = getattr(frac, "edge_weights", frac)
         inside = set(copy)
         load: Counter = Counter()
         total = Fraction(0)
@@ -287,7 +266,7 @@ def round2_sparsify(H: Hypergraph, sample: RoundOneSample, fracs, seed: int) -> 
             if rng.unit(TAG_ROUND2, i, j) < w:
                 selected.add(e)
     if not survivors:
-        raise PipelineError("no fractionally matchable copies")
+        raise PipelineError("round2: no fractionally matchable copies")
     sub = Hypergraph(H.n, H.k, sorted(selected))
     dmin, dmax, codeg = _degree_stats(sub)
     target = Fraction(sum(len(sample.copies[i]) for i in survivors), H.n) if H.n else Fraction(0)
@@ -365,8 +344,6 @@ def sparsify_stage(
     """Rounds one and two together; returns (sample, sparse, diagnostics)."""
     sample = round1_sample(H, copies, p, seed)
     fracs, gate_diag = certify_copies(H, sample, eps)
-    if all(f is None for f in fracs):
-        raise PipelineError("round2: no fractionally matchable copies")
     sparse = round2_sparsify(H, sample, fracs, seed)
     diagnostics = {
         "round1": {"copies": copies, "sizes": [len(c) for c in sample.copies]},

@@ -19,7 +19,7 @@ from math import comb
 from typing import NamedTuple
 
 from .closeness import barrier_deficit
-from .constructions import comb0
+from .constructions import space_barrier_edge_count
 from .core import Hypergraph
 from .errors import CertificationError, DomainError
 from .exact import max_matching
@@ -91,7 +91,7 @@ class FranklResult(NamedTuple):
 
 def frankl_bound_check(H: Hypergraph) -> FranklResult:
     s = max_matching(H).size
-    bound = comb0(H.n, H.k) - comb0(H.n - s, H.k)
+    bound = space_barrier_edge_count(H.n, H.k, H.k, s)
     applicable = H.n >= (2 * s + 1) * H.k - s
     return FranklResult(applicable, H.num_edges <= bound, s, bound)
 
@@ -122,7 +122,7 @@ def stability_closeness_check(H: Hypergraph, m: int, xi: Fraction) -> StabilityC
         raise DomainError(f"hypothesis failed: matching number {nu} exceeds m={m}")
     n, k = H.n, H.k
     deficit = barrier_deficit(H, m, k, range(m)).deficit
-    hypotheses = Fraction(H.num_edges) > comb(n, k) - comb0(n - m, k) - xi * n**k
+    hypotheses = Fraction(H.num_edges) > space_barrier_edge_count(n, k, k, m) - xi * n**k
     if k == 2:
         conclusion = deficit * deficit <= 4 * xi * n**4
     else:

@@ -86,8 +86,6 @@ class TestIsAbsorbing:
             is_absorbing(K7, PARAMS32, (0, 1, 2), (4, 5, 6))
         with pytest.raises(DomainError):
             is_absorbing(K7, PARAMS32, (0, 1, 2, 3), (3, 5, 6))
-        # The relaxed predicate is reachable only on request.
-        assert is_absorbing(K7, PARAMS32, (0, 1, 2, 3), (3, 5, 6), allow_overlap=True)
 
 
 class TestEnumerate:

@@ -4,7 +4,15 @@ from math import ceil
 
 import pytest
 
-from hypermatch import Hypergraph, complete_hypergraph, is_stable, load, save
+from hypermatch import (
+    Hypergraph,
+    build_space_barrier,
+    complete_hypergraph,
+    f_density_check,
+    is_stable,
+    load,
+    save,
+)
 from hypermatch.cli import main
 
 
@@ -96,6 +104,18 @@ class TestBasicCommands:
         assert rep["results"]["dense"] is False
         assert rep["results"]["witness"] == [3, 4, 5, 6, 7]
 
+    def test_fdense_sampled_mode_uses_seed(self, capsys, tmp_path):
+        # n = 18 is above the exhaustive limit, so candidate sets are drawn.
+        H = build_space_barrier(18, 3, 1, 6)
+        path = tmp_path / "barrier18.json"
+        save(H, path)
+        code, rep = run_json(capsys, "fdense", str(path), "--eps", "1/2", "--seed", "5")
+        assert code == 0 and rep["seed"] == 5
+        dense, witness = f_density_check(H, Fraction(1, 2), seed=5)
+        assert dense is False and rep["results"]["dense"] is False
+        assert rep["results"]["witness"] == list(witness)
+        assert witness != f_density_check(H, Fraction(1, 2), seed=0)[1]
+
     def test_absorb_and_round1_and_pipeline(self, capsys, tmp_path):
         path = tmp_path / "k12.json"
         save(complete_hypergraph(12, 3), path)
@@ -137,6 +157,15 @@ class TestBasicCommands:
             "--seed", "4", "--n", "10", "--rho", "1/100",
         )
         assert code == 0 and rep["results"]["conclusion_failures"] == 0
+
+    def test_katona_suite_lets_program_errors_propagate(self, capsys, monkeypatch):
+        # Only a certification failure counts as a suite failure.
+        def broken(H):
+            raise TypeError("bug")
+
+        monkeypatch.setattr("hypermatch.stability.katona_check", broken)
+        with pytest.raises(TypeError):
+            main(["verify", "--suite", "katona", "--trials", "3"])
 
     def test_sweep_empty_range(self, capsys):
         code, rep = run_json(
@@ -227,6 +256,16 @@ class TestErrorSurface:
                 None,
                 ["construct", "--family", "clique-minus", "--n", "6", "--k", "3", "-o", "{dir}/out.json"],
                 id="output-dir-missing",
+            ),
+            pytest.param(
+                b'{"n": 6, "k": 3, "edges": [[0, 1, 2]]}',
+                ["round1", "{file}", "--copies", "1", "--p", "0", "--probe-set", "0,1,2,3"],
+                id="probe-set-above-k",
+            ),
+            pytest.param(
+                b'{"n": 6, "k": 3, "edges": [[0, 1, 2]]}',
+                ["round1", "{file}", "--copies", "1", "--p", "1", "--probe-set", "99"],
+                id="probe-vertex-outside",
             ),
         ],
     )

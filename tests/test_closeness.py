@@ -113,7 +113,7 @@ class TestFDensity:
 
     def test_sampled_mode_above_guard(self):
         H = complete_hypergraph(18, 3)
-        dense, _ = f_density_check(H, Fraction(1, 2), trials=50, seed=9)
+        dense, _ = f_density_check(H, Fraction(1, 2), seed=9)
         assert dense
 
 

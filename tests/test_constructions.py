@@ -43,6 +43,14 @@ class TestSpaceBarrier:
             H = build_space_barrier(n, k, s, m)
             assert H.num_edges == space_barrier_edge_count(n, k, s, m)
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_full_barrier_count_is_binomial_difference(self, k):
+        # H^k_k(n, m) holds every k-set that meets the m-set W.
+        for n in range(16):
+            for m in range(n + 1):
+                expected = comb0(n, k) - comb0(n - m, k)
+                assert space_barrier_edge_count(n, k, k, m) == expected
+
     def test_matching_number_saturates_at_n_over_k(self):
         # Above n/k the cover can no longer be matched one edge apiece.
         assert max_matching(build_space_barrier(6, 3, 3, 3)).size == 2

@@ -8,7 +8,7 @@ from hypermatch import (
     DomainError,
     Hypergraph,
     PipelineError,
-    Round1Thresholds,
+    RoundOneSample,
     almost_perfect_pipeline,
     build_space_barrier,
     check_round1_properties,
@@ -19,6 +19,7 @@ from hypermatch import (
     validate_matching,
 )
 from hypermatch.core import degree
+from hypermatch.pipeline import default_halfwidth
 from hypermatch.rng import TAG_EDGE_SAMPLE, CounterRng
 
 HALF = Fraction(1, 2)
@@ -75,22 +76,23 @@ class TestRoundOne:
 
 
 class TestRoundOneProperties:
-    def test_zero_probability_fails_positive_bands(self):
-        H = complete_hypergraph(6, 3)
-        sample = round1_sample(H, 4, Fraction(0), seed=0)
-        report = check_round1_properties(
-            sample,
-            H,
-            Round1Thresholds(
-                singleton_center=Fraction(2),
-                singleton_halfwidth=Fraction(1),
-                size_center=Fraction(3),
-                size_halfwidth=Fraction(1),
-            ),
-        )
-        assert not report["singleton"]["ok"]
-        assert not report["size"]["ok"]
-        assert report["pair"]["ok"] and report["edge"]["ok"]  # vacuous
+    def test_repeated_triple_breaks_every_band_and_cap(self):
+        # 30 copies of one host edge at p = 1/2: every vertex misses the
+        # multiplicity band centred on 15, every copy misses the size band
+        # centred on 15, and the shared pairs and edge exceed both caps.
+        H = complete_hypergraph(30, 3)
+        y = (30,) * 3 + (0,) * 27
+        sample = RoundOneSample(30, 3, HALF, 0, ((0, 1, 2),) * 30, y)
+        report = check_round1_properties(sample, H)
+        width = default_halfwidth(Fraction(15))
+        assert (report["singleton"]["center"], report["singleton"]["halfwidth"]) == (15, width)
+        assert (report["size"]["center"], report["size"]["halfwidth"]) == (15, width)
+        assert not report["singleton"]["ok"] and report["singleton"]["violation_count"] == 30
+        assert not report["size"]["ok"] and report["size"]["violation_count"] == 30
+        assert not report["pair"]["ok"] and report["pair"]["cap"] == 2
+        assert report["pair"]["violations"] == [((0, 1), 30), ((0, 2), 30), ((1, 2), 30)]
+        assert not report["edge"]["ok"] and report["edge"]["cap"] == 1
+        assert report["edge"]["violations"] == [((0, 1, 2), 30)]
 
     def test_single_copy_satisfies_multiplicity_caps(self):
         H = complete_hypergraph(9, 3)
@@ -102,9 +104,7 @@ class TestRoundOneProperties:
     def test_degree_probe_reports_bound(self):
         H = complete_hypergraph(12, 3)
         sample = round1_sample(H, 4, Fraction(1), seed=1)
-        report = check_round1_properties(
-            sample, H, Round1Thresholds(deg_probes=((0,), (1,)), xi=Fraction(1, 10))
-        )
+        report = check_round1_properties(sample, H, ((0,), (1,)), Fraction(1, 10))
         # Complete host at p=1: every probe sees its full degree.
         assert report["deg"]["ok"]
 
