@@ -12,7 +12,8 @@ with probability rho * n / C(n, a*k) (clamped to one), then prunes: a
 lexicographic scan keeps each drawn set only if it is disjoint from all
 previously kept ones, and a second pass drops sets that do not span a
 matching. All randomness is counter-based, so a family is a pure function of
-(seed, n, k, a, rho).
+(seed, n, k, a, rho). Admission certifies each member's a-matching, so the
+probe count tests only nu(H[R u Q]) >= a + 1 per probe R and member Q.
 """
 
 from __future__ import annotations
@@ -77,6 +78,13 @@ def default_parameters(k: int, l: int) -> AbsorbingParameters:
     return AbsorbingParameters(k, l, a, k - a * (2 * l - k))
 
 
+def _matching_in(H: Hypergraph, X, t: int) -> tuple:
+    """First t edges of H[X]'s max_matching witness in host labels; () if nu < t."""
+    sub = induced(H, X)
+    witness = max_matching(sub.graph).witness
+    return sub.lift_edges(witness[:t]) if len(witness) >= t else ()
+
+
 def is_absorbing(H: Hypergraph, params: AbsorbingParameters, R, Q) -> bool:
     """Whether Q absorbs R: Q spans an a-matching and nu(H[Q u R]) >= a + 1."""
     r = vertex_subset(H, R)
@@ -87,10 +95,7 @@ def is_absorbing(H: Hypergraph, params: AbsorbingParameters, R, Q) -> bool:
         raise DomainError(f"|Q|={len(q)} must equal a*k={params.q_size}")
     if set(r) & set(q):
         raise DomainError("Q and R must be disjoint")
-    if max_matching(induced(H, q).graph).size < params.a:
-        return False
-    union = sorted(set(r) | set(q))
-    return max_matching(induced(H, union).graph).size >= params.a + 1
+    return bool(_matching_in(H, q, params.a) and _matching_in(H, set(r) | set(q), params.a + 1))
 
 
 class AbsorberEnumeration(NamedTuple):
@@ -120,7 +125,6 @@ class AbsorbingFamily:
     """Pruned pairwise-disjoint matchable members plus their matchings."""
 
     params: AbsorbingParameters
-    rho: Fraction
     members: tuple  # tuple of sorted a*k-vertex tuples, pairwise disjoint
     member_matchings: tuple  # per-member perfect matchings, aligned with members
     diagnostics: dict
@@ -149,7 +153,8 @@ def sample_absorbing_family(
 
     Diagnostics record the raw draw count, how many sets each pruning pass
     removed, and, over seeded probe sets R drawn from the uncovered vertices,
-    the smallest number of family members absorbing a probe.
+    the smallest number of members Q with nu(H[R u Q]) >= a + 1 (admission
+    already certified each member's a-matching).
     """
     rho = Fraction(rho)
     if not 0 < rho < 1:
@@ -183,11 +188,10 @@ def sample_absorbing_family(
     matchings = []
     dropped_unmatchable = 0
     for cand in disjoint:
-        sub = induced(H, cand)
-        mm = max_matching(sub.graph)
-        if mm.size == params.a:
+        mm = _matching_in(H, cand, params.a)
+        if mm:
             members.append(cand)
-            matchings.append(sub.lift_edges(mm.witness))
+            matchings.append(mm)
         else:
             dropped_unmatchable += 1
 
@@ -200,17 +204,15 @@ def sample_absorbing_family(
         "family_size": len(members),
     }
 
-    family = AbsorbingFamily(params, rho, tuple(members), tuple(matchings), diagnostics)
+    family = AbsorbingFamily(params, tuple(members), tuple(matchings), diagnostics)
 
     covered = set(family.covered)
     free = [v for v in range(n) if v not in covered]
     if probes > 0 and len(free) >= params.r_size:
         worst = None
         for j in range(probes):
-            probe = sorted(rng.sample(free, params.r_size, TAG_PROBE, j))
-            hits = sum(
-                1 for q in members if is_absorbing(H, params, probe, q)
-            )
+            probe = set(rng.sample(free, params.r_size, TAG_PROBE, j))
+            hits = sum(1 for q in members if _matching_in(H, probe | set(q), params.a + 1))
             worst = hits if worst is None else min(worst, hits)
         diagnostics["probe_count"] = probes
         diagnostics["min_absorbers_over_probes"] = worst
@@ -248,19 +250,13 @@ def absorb(H: Hypergraph, family: AbsorbingFamily, S) -> AbsorbResult:
     leftover = list(s)
     while len(leftover) >= params.r_size:
         r = tuple(leftover[: params.r_size])
-        chosen = None
         for pos, idx in enumerate(unused):
             q = family.members[idx]
-            union = sorted(set(r) | set(q))
-            sub = induced(H, union)
-            mm = max_matching(sub.graph)
-            if mm.size >= params.a + 1:
-                lifted = sub.lift_edges(mm.witness[: params.a + 1])
-                chosen = (pos, q, lifted)
+            round_matching = _matching_in(H, set(r) | set(q), params.a + 1)
+            if round_matching:
                 break
-        if chosen is None:
+        else:
             raise AbsorptionStuckError(r)
-        pos, q, round_matching = chosen
         unused.pop(pos)
         replacement_edges.extend(round_matching)
         covered_now = {v for e in round_matching for v in e}

@@ -286,7 +286,7 @@ def cmd_round1(args):
 
 def cmd_sparsify(args):
     H = core.load(args.file)
-    _, sparse, diag = pipeline.sparsify_stage(
+    sparse, diag = pipeline.sparsify_stage(
         H, args.copies, args.p, args.seed or 0, eps=args.eps
     )
     if args.output:
@@ -348,6 +348,10 @@ def _suite_frankl(trials, seed):
 
 
 def _suite_stability2(trials, seed, n, rho):
+    if rho <= 0:
+        raise DomainError("rho must be a positive rational")
+    if n < 3:
+        raise DomainError(f"stability2 needs n >= 3 (the barrier set has m >= 3), got n={n}")
     rng = CounterRng(seed)
     checked = met = failures = skipped = 0
     for t in range(trials):
@@ -375,6 +379,8 @@ def _suite_stability2(trials, seed, n, rho):
 
 
 def cmd_verify(args):
+    if args.trials < 0:
+        raise DomainError(f"--trials must be non-negative, got {args.trials}")
     seed = args.seed or 0
     if args.suite == "katona":
         results = _suite_katona(args.trials, seed)
@@ -392,6 +398,8 @@ def cmd_sweep(args):
     k, l = args.k, args.l
     if not 0 < l < k:
         raise DomainError(f"need 0 < l < k, got k={k}, l={l}")
+    if args.search_trials < 0:
+        raise DomainError(f"--search-trials must be non-negative, got {args.search_trials}")
     rows = []
     search_p = args.search_p
     for n in range(args.n_start, args.n_end + 1):

@@ -204,7 +204,6 @@ def check_round1_properties(
 @dataclass(frozen=True)
 class SparseSubgraph:
     subgraph: Hypergraph  # spanning: same n, edges a subset of the host's
-    target_degree: Fraction  # mean copies-per-vertex among surviving copies
     min_degree: int
     max_degree: int
     max_pair_codegree: int
@@ -219,9 +218,7 @@ def _degree_stats(H: Hypergraph):
         for v in e:
             deg[v] += 1
         codeg.update(combinations(e, 2))
-    dmin = min(deg, default=0) if H.n else 0
-    dmax = max(deg, default=0) if H.n else 0
-    return dmin, dmax, max(codeg.values(), default=0)
+    return min(deg, default=0), max(deg, default=0), max(codeg.values(), default=0)
 
 
 def round2_sparsify(H: Hypergraph, sample: RoundOneSample, fracs, seed: int) -> SparseSubgraph:
@@ -269,8 +266,7 @@ def round2_sparsify(H: Hypergraph, sample: RoundOneSample, fracs, seed: int) -> 
         raise PipelineError("round2: no fractionally matchable copies")
     sub = Hypergraph(H.n, H.k, sorted(selected))
     dmin, dmax, codeg = _degree_stats(sub)
-    target = Fraction(sum(len(sample.copies[i]) for i in survivors), H.n) if H.n else Fraction(0)
-    return SparseSubgraph(sub, target, dmin, dmax, codeg, tuple(survivors), tuple(skipped))
+    return SparseSubgraph(sub, dmin, dmax, codeg, tuple(survivors), tuple(skipped))
 
 
 def greedy_low_degradation_matching(H: Hypergraph) -> tuple:
@@ -341,7 +337,7 @@ def certify_copies(H: Hypergraph, sample: RoundOneSample, eps: Fraction | None) 
 def sparsify_stage(
     H: Hypergraph, copies: int, p: Fraction, seed: int, eps: Fraction | None = Fraction(1, 2)
 ) -> tuple:
-    """Rounds one and two together; returns (sample, sparse, diagnostics)."""
+    """Rounds one and two together; returns (sparse, diagnostics)."""
     sample = round1_sample(H, copies, p, seed)
     fracs, gate_diag = certify_copies(H, sample, eps)
     sparse = round2_sparsify(H, sample, fracs, seed)
@@ -356,7 +352,7 @@ def sparsify_stage(
             "survivors": len(sparse.survivors),
         },
     }
-    return sample, sparse, diagnostics
+    return sparse, diagnostics
 
 
 def almost_perfect_pipeline(
@@ -376,7 +372,7 @@ def almost_perfect_pipeline(
         diagnostics = {"short_circuit": "host has no edges"}
         return PipelineResult((), n, Fraction(1) if n else Fraction(0), diagnostics)
 
-    _, sparse, diagnostics = sparsify_stage(H, copies, p, seed, eps)
+    sparse, diagnostics = sparsify_stage(H, copies, p, seed, eps)
     matching = greedy_low_degradation_matching(sparse.subgraph)
     uncovered = n - H.k * len(matching)
     diagnostics["greedy"] = {"size": len(matching)}

@@ -65,7 +65,6 @@ def shadow(H: Hypergraph) -> frozenset:
 
 
 class KatonaResult(NamedTuple):
-    holds: bool
     matching_number: int
     shadow_size: int
 
@@ -74,12 +73,11 @@ def katona_check(H: Hypergraph) -> KatonaResult:
     """Verify nu(H) * |shadow| >= e(H); a failure would be an implementation bug."""
     s = max_matching(H).size
     sh = len(shadow(H))
-    holds = s * sh >= H.num_edges
-    if not holds:
+    if s * sh < H.num_edges:
         raise CertificationError(
             f"shadow bound violated: nu={s}, |shadow|={sh}, e={H.num_edges}"
         )
-    return KatonaResult(holds, s, sh)
+    return KatonaResult(s, sh)
 
 
 class FranklResult(NamedTuple):

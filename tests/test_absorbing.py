@@ -16,6 +16,7 @@ from hypermatch import (
     Hypergraph,
     SizeLimitError,
     absorb,
+    build_space_barrier,
     complete_hypergraph,
     default_parameters,
     enumerate_absorbing,
@@ -23,6 +24,7 @@ from hypermatch import (
     sample_absorbing_family,
     validate_matching,
 )
+from hypermatch.rng import TAG_PROBE, CounterRng
 
 PARAMS32 = AbsorbingParameters(3, 2, 1, 2)
 
@@ -143,6 +145,24 @@ class TestSampling:
     def test_rho_range_enforced(self):
         with pytest.raises(DomainError):
             sample_absorbing_family(complete_hypergraph(8, 3), PARAMS32, Fraction(1), 0)
+
+    @pytest.mark.parametrize("seed", [1, 3, 4])
+    def test_probe_count_matches_is_absorbing_recount(self, seed):
+        # On a barrier host some members miss some probes, so the minimum
+        # falls below the family size; recount it through the public test.
+        H = build_space_barrier(15, 3, 3, 4)
+        fam = sample_absorbing_family(H, PARAMS32, Fraction(1, 3), seed, probes=30)
+        free = [v for v in range(H.n) if v not in fam.covered]
+        rng = CounterRng(seed)
+        counts = [
+            sum(
+                is_absorbing(H, PARAMS32, rng.sample(free, PARAMS32.r_size, TAG_PROBE, j), q)
+                for q in fam.members
+            )
+            for j in range(30)
+        ]
+        assert fam.diagnostics["probe_count"] == 30
+        assert fam.diagnostics["min_absorbers_over_probes"] == min(counts) < len(fam.members)
 
 
 class TestAbsorb:

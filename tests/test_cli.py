@@ -267,6 +267,14 @@ class TestErrorSurface:
                 ["round1", "{file}", "--copies", "1", "--p", "1", "--probe-set", "99"],
                 id="probe-vertex-outside",
             ),
+            pytest.param(None, ["verify", "--suite", "stability2", "--rho", "0"], id="stability2-rho-zero"),
+            pytest.param(None, ["verify", "--suite", "stability2", "--n", "2"], id="stability2-n-below-three"),
+            pytest.param(None, ["verify", "--suite", "katona", "--trials", "-3"], id="negative-trials"),
+            pytest.param(
+                None,
+                ["sweep", "--k", "3", "--l", "2", "--n-start", "6", "--n-end", "6", "--search-trials", "-2"],
+                id="negative-search-trials",
+            ),
         ],
     )
     def test_malformed_input_is_domain_error(self, capsys, tmp_path, content, argv):

@@ -68,7 +68,7 @@ class TestShadow:
 class TestKatona:
     def test_fano(self, fano):
         res = katona_check(fano)
-        assert res == (True, 1, 21)
+        assert res == (1, 21)
 
     def test_two_triples(self):
         H = Hypergraph(6, 3, [(0, 1, 2), (3, 4, 5)])
