@@ -42,7 +42,6 @@ from .fractional import (
     FractionalSolution,
     StableCompletion,
     fractional_optimum,
-    has_perfect_fractional,
     stable_completion,
 )
 from .stability import (

@@ -249,6 +249,8 @@ def cmd_fdense(args):
 
 
 def cmd_absorb(args):
+    if args.probes < 0:
+        raise DomainError(f"--probes must be non-negative, got {args.probes}")
     H = core.load(args.file)
     params = AbsorbingParameters(H.k, args.l, args.a, args.h)
     family = sample_absorbing_family(H, params, args.rho, args.seed or 0, probes=args.probes)

@@ -1,4 +1,4 @@
-"""Exact fractional matching and vertex cover via rational simplex.
+"""Exact fractional matching and vertex cover via a fraction-free simplex.
 
 The primal is max sum(x_e) subject to, for each vertex, sum of x_e over
 incident edges at most 1, with x >= 0. Slack variables give a feasible
@@ -6,6 +6,21 @@ starting basis, Bland's rule guarantees termination, and the optimal dual
 (the fractional vertex cover) is read off the slack reduced costs. Optimality
 is certified by complementary feasibility in exact arithmetic, never by
 tolerance: primal feasible, dual feasible, objectives equal.
+
+The tableau is held over Python ints as T / D, with one common denominator
+D > 0 (D = 1 at the start), and pivots are integer-preserving (Edmonds 1967;
+Bareiss 1968). Pivoting on piv = T[r][c] leaves the pivot row as it is, turns
+every other row a, the reduced-cost row included, into (a*piv - f*b) // D,
+where f is a's entry in column c and b the pivot row, and then sets D = piv.
+The division is exact: D is |det B| for the current basis B, and D * B^-1 is
+then +-adj(B), an integer matrix, so every entry of T is an integer. T is the
+rational tableau entry for entry, only scaled by D > 0. So the sign tests of
+Bland's rule are unchanged, and the ratio test rhs_i / T[i][c] < rhs_r /
+T[r][c] becomes the cross-multiplied rhs_i * T[r][c] < rhs_r * T[i][c] (D
+cancels, both coefficients are positive), with ties still going to the
+lowest basis index. Every pivot is therefore the one a Fraction tableau would
+take, and x, y and the value, read as Fraction(T[i][rhs], D), come out
+identical to it.
 
 Also provides the stable completion: relabel by a minimum cover in
 descending weight order and adjoin every non-edge whose cover weight reaches
@@ -24,7 +39,6 @@ from .core import Hypergraph
 from .errors import CertificationError
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -38,68 +52,69 @@ class FractionalSolution:
 
 
 def _simplex_optimum(H: Hypergraph):
-    """Run the tableau to optimality; returns (x per edge, y per vertex, value)."""
+    """Run the integer tableau to optimality; returns (x per edge, y per vertex, value)."""
     n = H.n
     edges = H.edges
     ne = len(edges)
     width = ne + n
 
     if ne == 0:
-        return [_ZERO] * 0, [_ZERO] * n, _ZERO
+        return [], [_ZERO] * n, _ZERO
 
     rows = []
     for v in range(n):
-        row = [_ZERO] * (width + 1)
+        row = [0] * (width + 1)
         for j, e in enumerate(edges):
             if v in e:
-                row[j] = _ONE
-        row[ne + v] = _ONE
-        row[width] = _ONE  # rhs
+                row[j] = 1
+        row[ne + v] = 1
+        row[width] = 1  # rhs
         rows.append(row)
     # Reduced costs for max: z_j = c_B B^-1 A_j - c_j, initially -c.
-    z = [-_ONE] * ne + [_ZERO] * n + [_ZERO]
+    z = [-1] * ne + [0] * (n + 1)
     basis = [ne + v for v in range(n)]
+    D = 1
 
     while True:
         enter = next((j for j in range(width) if z[j] < 0), None)  # Bland: least index
         if enter is None:
             break
+        # Ratio test by cross-multiplication; ties go to the lowest basis index.
         leave_row = None
-        best_ratio = None
         for i in range(n):
             coef = rows[i][enter]
             if coef > 0:
-                ratio = rows[i][width] / coef
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave_row])
-                ):
-                    best_ratio = ratio
+                if leave_row is None:
+                    leave_row = i
+                    continue
+                lhs = rows[i][width] * rows[leave_row][enter]
+                rhs = rows[leave_row][width] * coef
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave_row]):
                     leave_row = i
         if leave_row is None:
             raise CertificationError("matching LP reported unbounded; impossible")
         prow = rows[leave_row]
         piv = prow[enter]
-        if piv != 1:
-            rows[leave_row] = prow = [c / piv for c in prow]
         for i in range(n):
-            if i == leave_row:
-                continue
-            f = rows[i][enter]
-            if f != 0:
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        f = z[enter]
-        if f != 0:
-            z = [a - f * b for a, b in zip(z, prow)]
+            if i != leave_row:
+                rows[i] = _bareiss_row(rows[i], prow, rows[i][enter], piv, D)
+        z = _bareiss_row(z, prow, z[enter], piv, D)
         basis[leave_row] = enter
+        D = piv
 
     x = [_ZERO] * ne
     for i, b in enumerate(basis):
         if b < ne:
-            x[b] = rows[i][width]
-    y = [z[ne + v] for v in range(n)]
-    return x, y, z[width]
+            x[b] = Fraction(rows[i][width], D)
+    y = [Fraction(z[ne + v], D) for v in range(n)]
+    return x, y, Fraction(z[width], D)
+
+
+def _bareiss_row(row, prow, f, piv, D):
+    """One non-pivot row of an integer-preserving pivot: (a*piv - f*b) // D, exactly."""
+    if f == 0:
+        return row if piv == D else [a * piv // D for a in row]
+    return [(a * piv - f * b) // D for a, b in zip(row, prow)]
 
 
 def fractional_optimum(H: Hypergraph) -> FractionalSolution:
@@ -129,11 +144,6 @@ def fractional_optimum(H: Hypergraph) -> FractionalSolution:
         nu_star=nu,
         tau_star=tau,
     )
-
-
-def has_perfect_fractional(H: Hypergraph) -> bool:
-    """True iff the fractional matching optimum equals n/k exactly."""
-    return fractional_optimum(H).nu_star == Fraction(H.n, H.k)
 
 
 class StableCompletion(NamedTuple):

@@ -58,7 +58,8 @@ class CounterRng:
         return Fraction(self.raw(*key) >> 11, 1 << 53)
 
     def bernoulli(self, p: Fraction, *key: int) -> bool:
-        return self.unit(*key) < p
+        """True with probability p: the same verdict as `unit(*key) < p`, in ints."""
+        return (self.raw(*key) >> 11) * p.denominator < p.numerator << 53
 
     def below(self, bound: int, *key: int) -> int:
         """Uniform integer in [0, bound), unbiased via rejection."""

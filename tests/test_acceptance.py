@@ -25,7 +25,6 @@ from hypermatch import (
     complete_hypergraph,
     fractional_optimum,
     frankl_bound_check,
-    has_perfect_fractional,
     independence_number,
     is_stable,
     katona_check,
@@ -100,7 +99,7 @@ def test_criterion_03_fano_certificate():
         fractional_optimum(fano).nu_star == Fraction(7, 3)
         and max_matching(fano).size == 1
         and independence_number(fano).size == 4
-        and has_perfect_fractional(fano)
+        and fractional_optimum(fano).nu_star == Fraction(fano.n, fano.k)
         and time.time() - t0 < 1
     )
     assert report(3, "fano-certificate", ok)

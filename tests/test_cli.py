@@ -12,6 +12,7 @@ from hypermatch import (
     is_stable,
     load,
     save,
+    to_json,
 )
 from hypermatch.cli import main
 
@@ -270,6 +271,11 @@ class TestErrorSurface:
             pytest.param(None, ["verify", "--suite", "stability2", "--rho", "0"], id="stability2-rho-zero"),
             pytest.param(None, ["verify", "--suite", "stability2", "--n", "2"], id="stability2-n-below-three"),
             pytest.param(None, ["verify", "--suite", "katona", "--trials", "-3"], id="negative-trials"),
+            pytest.param(
+                to_json(complete_hypergraph(9, 3)).encode(),
+                ["absorb", "{file}", "--l", "2", "--a", "1", "--h", "2", "--rho", "1/5", "--probes", "-4"],
+                id="negative-probes",
+            ),
             pytest.param(
                 None,
                 ["sweep", "--k", "3", "--l", "2", "--n-start", "6", "--n-end", "6", "--search-trials", "-2"],

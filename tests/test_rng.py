@@ -70,6 +70,16 @@ def test_combination_unrank_range_check():
         combination_unrank(5, 2, comb(5, 2))
 
 
+@pytest.mark.parametrize(
+    "p",
+    [Fraction(0), Fraction(1, 3), Fraction(3, 10), Fraction(1, 2), Fraction(2, 3), Fraction(1, 2**53 + 1), Fraction(1)],
+)
+def test_bernoulli_is_the_unit_comparison(p):
+    # The integer comparison must give the verdict of `unit(key) < p` on every key.
+    rng = CounterRng(11)
+    assert all(rng.bernoulli(p, 4, i) == (rng.unit(4, i) < p) for i in range(2000))
+
+
 def test_bernoulli_subsets_extremes():
     rng = CounterRng(1)
     assert list(bernoulli_subsets(5, 2, Fraction(0), rng, 1)) == []
