@@ -12,8 +12,6 @@ from .core import (
     degree,
     from_json,
     induced,
-    is_independent,
-    link,
     load,
     min_l_degree,
     remove,
@@ -66,8 +64,6 @@ from .absorbing import (
     AbsorbingParameters,
     absorb,
     default_parameters,
-    enumerate_absorbing,
-    is_absorbing,
     sample_absorbing_family,
 )
 from .pipeline import (

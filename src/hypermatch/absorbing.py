@@ -3,9 +3,9 @@
 A session fixes (k, l) and legal integers (a, h) with h <= l, a <= k - l and
 a*l >= a*(k-l) + (k-h). An absorber for an (a*l+h)-set R is an a*k-set Q,
 disjoint from R, that spans a matching of size a and satisfies
-nu(H[Q u R]) >= a + 1. Disjointness is required here even though the bare
-definition would allow overlap, because that is the only way absorbers are
-ever used.
+nu(H[Q u R]) >= a + 1. The test is _matching_in; disjointness always holds,
+because every R (a probe or a set to absorb) is drawn from vertices outside
+the family.
 
 The family sampler draws every a*k-subset of the vertex set independently
 with probability rho * n / C(n, a*k) (clamped to one), then prunes: a
@@ -20,16 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
 from .core import Hypergraph, _mask, induced, vertex_subset
-from .errors import AbsorptionStuckError, CertificationError, DomainError, SizeLimitError
+from .errors import AbsorptionStuckError, CertificationError, DomainError
 from .exact import max_matching, validate_matching
 from .rng import TAG_FAMILY, TAG_PROBE, CounterRng, bernoulli_subsets
-
-ENUMERATE_MAX_N = 20
 
 
 @dataclass(frozen=True)
@@ -83,41 +80,6 @@ def _matching_in(H: Hypergraph, X, t: int) -> tuple:
     sub = induced(H, X)
     witness = max_matching(sub.graph).witness
     return sub.lift_edges(witness[:t]) if len(witness) >= t else ()
-
-
-def is_absorbing(H: Hypergraph, params: AbsorbingParameters, R, Q) -> bool:
-    """Whether Q absorbs R: Q spans an a-matching and nu(H[Q u R]) >= a + 1."""
-    r = vertex_subset(H, R)
-    q = vertex_subset(H, Q)
-    if len(r) != params.r_size:
-        raise DomainError(f"|R|={len(r)} must equal a*l+h={params.r_size}")
-    if len(q) != params.q_size:
-        raise DomainError(f"|Q|={len(q)} must equal a*k={params.q_size}")
-    if set(r) & set(q):
-        raise DomainError("Q and R must be disjoint")
-    return bool(_matching_in(H, q, params.a) and _matching_in(H, set(r) | set(q), params.a + 1))
-
-
-class AbsorberEnumeration(NamedTuple):
-    absorbers: tuple  # all Q disjoint from R with is_absorbing true, lex order
-    density: Fraction  # |L(R)| / n^(a*k)
-
-
-def enumerate_absorbing(
-    H: Hypergraph, params: AbsorbingParameters, R, force: bool = False
-) -> AbsorberEnumeration:
-    if H.n > ENUMERATE_MAX_N and not force:
-        raise SizeLimitError(f"enumerate_absorbing enforces n <= {ENUMERATE_MAX_N}")
-    r = vertex_subset(H, R)
-    if len(r) != params.r_size:
-        raise DomainError(f"|R|={len(r)} must equal a*l+h={params.r_size}")
-    rest = [v for v in range(H.n) if v not in set(r)]
-    found = [
-        q
-        for q in combinations(rest, params.q_size)
-        if is_absorbing(H, params, r, q)
-    ]
-    return AbsorberEnumeration(tuple(found), Fraction(len(found), H.n**params.q_size))
 
 
 @dataclass(frozen=True)

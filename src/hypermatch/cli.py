@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from math import ceil
+from math import ceil, floor
 
 from . import closeness, constructions, core, fractional, pipeline, stability
 from .absorbing import AbsorbingParameters, absorb, default_parameters, sample_absorbing_family
@@ -62,10 +62,10 @@ def _flatten_pairs(obj):
     out = []
 
     def walk(value, path):
-        if isinstance(value, dict):
+        if isinstance(value, dict) and value:
             for k, v in value.items():
                 walk(v, f"{path}.{k}" if path else str(k))
-        elif isinstance(value, list):
+        elif isinstance(value, list) and value:
             for i, v in enumerate(value):
                 walk(v, f"{path}.{i}" if path else str(i))
         else:
@@ -94,10 +94,6 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _matching_json(matching):
-    return [list(e) for e in matching]
-
-
 # ---------------------------------------------------------------- handlers
 
 
@@ -123,7 +119,7 @@ def cmd_nu(args):
     res = max_matching(core.load(args.file))
     return {
         "claim": "maximum-matching",
-        "results": {"size": res.size, "witness": _matching_json(res.witness)},
+        "results": {"size": res.size, "witness": res.witness},
     }
 
 
@@ -131,7 +127,7 @@ def cmd_alpha(args):
     res = independence_number(core.load(args.file))
     return {
         "claim": "maximum-independent-set",
-        "results": {"size": res.size, "witness": list(res.witness)},
+        "results": {"size": res.size, "witness": res.witness},
     }
 
 
@@ -141,7 +137,7 @@ def cmd_berge(args):
         "claim": "deficiency-formula",
         "results": {
             "value": cert.value,
-            "vertex_set": list(cert.vertex_set),
+            "vertex_set": cert.vertex_set,
             "odd_components": cert.odd_components,
         },
     }
@@ -153,14 +149,14 @@ def cmd_degrees(args):
         t = _vertices(args.set)
         return {
             "claim": "set-degree",
-            "results": {"set": list(t), "degree": core.degree(H, t)},
+            "results": {"set": t, "degree": core.degree(H, t)},
         }
     if args.l is None:
         raise DomainError("degrees needs --l or --set")
     t, d = core.weakest_set(H, args.l)
     return {
         "claim": "minimum-l-degree",
-        "results": {"l": args.l, "min_degree": d, "argmin": list(t)},
+        "results": {"l": args.l, "min_degree": d, "argmin": t},
     }
 
 
@@ -184,8 +180,8 @@ def cmd_stable_complete(args):
     return {
         "claim": "stable-completion",
         "results": {
-            "order": list(comp.order),
-            "omega": list(comp.weights),
+            "order": comp.order,
+            "omega": comp.weights,
             "edge_count": comp.graph.num_edges,
             "output": args.output,
         },
@@ -194,13 +190,15 @@ def cmd_stable_complete(args):
 
 def cmd_stable_check(args):
     res = stability.is_stable(core.load(args.file))
-    witness = [list(res.witness[0]), list(res.witness[1])] if res.witness else None
-    return {"claim": "downward-closedness", "results": {"stable": res.stable, "witness": witness}}
+    return {
+        "claim": "downward-closedness",
+        "results": {"stable": res.stable, "witness": res.witness},
+    }
 
 
 def cmd_shadow(args):
-    sh = sorted(stability.shadow(core.load(args.file)))
-    return {"claim": "shadow", "results": {"size": len(sh), "sets": [list(s) for s in sh]}}
+    sh = stability.shadow(core.load(args.file))
+    return {"claim": "shadow", "results": {"size": len(sh), "sets": sh}}
 
 
 def cmd_closeness(args):
@@ -210,14 +208,14 @@ def cmd_closeness(args):
     results = {
         "deficit": report.deficit,
         "epsilon_effective": report.epsilon_effective,
-        "per_vertex_deficits": {str(v): d for v, d in report.per_vertex_deficits.items()},
+        "per_vertex_deficits": report.per_vertex_deficits,
     }
     if args.alpha is not None:
         good = closeness.classify_good(H, args.m, args.s, w, args.alpha)
         results["goodness"] = {
             "alpha": good.alpha,
-            "good": list(good.good),
-            "bad": list(good.bad),
+            "good": good.good,
+            "bad": good.bad,
             "bad_bound": good.bad_bound,
             "bad_bound_holds": good.bad_bound_holds,
         }
@@ -232,7 +230,7 @@ def cmd_closest(args):
     return {
         "claim": "closest-barrier-partition",
         "results": {
-            "w_best": list(w),
+            "w_best": w,
             "deficit": deficit,
             "mode": "local-search-heuristic" if args.local else "exhaustive",
         },
@@ -244,7 +242,7 @@ def cmd_fdense(args):
     dense, witness = closeness.f_density_check(H, args.eps, force=args.force, seed=args.seed or 0)
     return {
         "claim": "large-set-density",
-        "results": {"dense": dense, "witness": list(witness) if witness else None},
+        "results": {"dense": dense, "witness": witness},
     }
 
 
@@ -257,15 +255,15 @@ def cmd_absorb(args):
     results = {
         "parameters": {"a": params.a, "h": params.h, "l": params.l, "k": params.k},
         "family_size": len(family.members),
-        "members": [list(m) for m in family.members],
-        "matching": _matching_json(family.matching),
-        "diagnostics": dict(family.diagnostics),
+        "members": family.members,
+        "matching": family.matching,
+        "diagnostics": family.diagnostics,
     }
     if args.absorb_set is not None:
         res = absorb(H, family, _vertices(args.absorb_set))
         results["absorb"] = {
-            "matching": _matching_json(res.matching),
-            "uncovered": list(res.uncovered),
+            "matching": res.matching,
+            "uncovered": res.uncovered,
             "uncovered_count": len(res.uncovered),
         }
     return {"claim": "absorbing-family", "results": results}
@@ -301,7 +299,7 @@ def cmd_pipeline(args):
     H = core.load(args.file)
     res = pipeline.almost_perfect_pipeline(H, args.copies, args.p, args.seed or 0, eps=args.eps)
     results = {
-        "matching": _matching_json(res.matching),
+        "matching": res.matching,
         "matching_size": len(res.matching),
         "uncovered_count": res.uncovered_count,
         "uncovered_fraction": res.uncovered_fraction,
@@ -402,21 +400,15 @@ def cmd_sweep(args):
         raise DomainError(f"need 0 < l < k, got k={k}, l={l}")
     if args.search_trials < 0:
         raise DomainError(f"--search-trials must be non-negative, got {args.search_trials}")
+    # The theorem's m-range n/k - mu*n <= m <= n/k - 1 - (1 - l/k)*a needs l > k/2.
+    a = default_parameters(k, l).a if 2 * l > k else None
+    rng = CounterRng(args.seed or 0)
     rows = []
-    search_p = args.search_p
     for n in range(args.n_start, args.n_end + 1):
-        ms = set(args.m_list) if args.m_list else set()
-        if 2 * l > k:
-            a = default_parameters(k, l).a
+        ms = set(args.m_list or ())
+        if a is not None:
             upper = Fraction(n, k) - 1 - (1 - Fraction(l, k)) * a
-            m = max(0, ceil(Fraction(n, k) - args.mu * n))
-            while m <= upper:
-                ms.add(m)
-                m += 1
-            if 3 * l >= 2 * k:
-                near = -(-n // k) - 2
-                if near >= 0:
-                    ms.add(near)
+            ms.update(range(max(0, ceil(Fraction(n, k) - args.mu * n)), floor(upper) + 1))
         for m in sorted(ms):
             if m > n - l:
                 continue
@@ -434,9 +426,8 @@ def cmd_sweep(args):
             }
             if args.search_trials:
                 found = 0
-                rng = CounterRng(args.seed or 0)
                 for t in range(args.search_trials):
-                    H = random_hypergraph(n, k, search_p, rng.raw(TAG_SET_SAMPLE, n, m, t))
+                    H = random_hypergraph(n, k, args.search_p, rng.raw(TAG_SET_SAMPLE, n, m, t))
                     if core.min_l_degree(H, l) > thr and max_matching(H).size <= m:
                         found += 1
                 row["search_trials"] = args.search_trials
@@ -471,91 +462,67 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(handler=cmd_construct)
 
-    for name, handler in (("nu", cmd_nu), ("alpha", cmd_alpha)):
+    def file_command(name, handler):
         p = sub.add_parser(name, parents=[common])
         p.add_argument("file")
         p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("berge", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(handler=cmd_berge)
+    file_command("nu", cmd_nu)
+    file_command("alpha", cmd_alpha)
+    file_command("berge", cmd_berge)
 
-    p = sub.add_parser("degrees", parents=[common])
-    p.add_argument("file")
+    p = file_command("degrees", cmd_degrees)
     p.add_argument("--l", type=int)
     p.add_argument("--set")
-    p.set_defaults(handler=cmd_degrees)
 
-    p = sub.add_parser("fractional", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(handler=cmd_fractional)
+    file_command("fractional", cmd_fractional)
 
-    p = sub.add_parser("stable-complete", parents=[common])
-    p.add_argument("file")
+    p = file_command("stable-complete", cmd_stable_complete)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(handler=cmd_stable_complete)
 
-    p = sub.add_parser("stable-check", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(handler=cmd_stable_check)
+    file_command("stable-check", cmd_stable_check)
+    file_command("shadow", cmd_shadow)
 
-    p = sub.add_parser("shadow", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(handler=cmd_shadow)
-
-    p = sub.add_parser("closeness", parents=[common])
-    p.add_argument("file")
+    p = file_command("closeness", cmd_closeness)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--w")
     p.add_argument("--alpha", type=_fraction)
-    p.set_defaults(handler=cmd_closeness)
 
-    p = sub.add_parser("closest", parents=[common])
-    p.add_argument("file")
+    p = file_command("closest", cmd_closest)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--local", action="store_true")
-    p.set_defaults(handler=cmd_closest)
 
-    p = sub.add_parser("fdense", parents=[common])
-    p.add_argument("file")
+    p = file_command("fdense", cmd_fdense)
     p.add_argument("--eps", type=_fraction, required=True)
-    p.set_defaults(handler=cmd_fdense)
 
-    p = sub.add_parser("absorb", parents=[common])
-    p.add_argument("file")
+    p = file_command("absorb", cmd_absorb)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--rho", type=_fraction, required=True)
     p.add_argument("--absorb-set")
     p.add_argument("--probes", type=int, default=100)
-    p.set_defaults(handler=cmd_absorb)
 
-    p = sub.add_parser("round1", parents=[common])
-    p.add_argument("file")
+    p = file_command("round1", cmd_round1)
     p.add_argument("--copies", type=int, required=True)
     p.add_argument("--p", type=_fraction, required=True)
     p.add_argument("--probe-set", action="append")
     p.add_argument("--xi", type=_fraction, default=Fraction(1, 10))
-    p.set_defaults(handler=cmd_round1)
 
-    p = sub.add_parser("sparsify", parents=[common])
-    p.add_argument("file")
+    p = file_command("sparsify", cmd_sparsify)
     p.add_argument("--copies", type=int, required=True)
     p.add_argument("--p", type=_fraction, required=True)
     p.add_argument("--eps", type=_fraction, default=Fraction(1, 2))
     p.add_argument("-o", "--output")
-    p.set_defaults(handler=cmd_sparsify)
 
-    p = sub.add_parser("pipeline", parents=[common])
-    p.add_argument("file")
+    p = file_command("pipeline", cmd_pipeline)
     p.add_argument("--copies", type=int, required=True)
     p.add_argument("--p", type=_fraction, required=True)
     p.add_argument("--sigma", type=_fraction)
     p.add_argument("--eps", type=_fraction, default=Fraction(1, 2))
-    p.set_defaults(handler=cmd_pipeline)
 
     p = sub.add_parser("verify", parents=[common])
     p.add_argument("--suite", choices=("katona", "frankl", "stability2"), required=True)
@@ -606,15 +573,11 @@ def main(argv=None) -> int:
             report["seed"] = args.seed
         emit(report, fmt)
         return EXIT_OK
-    except PipelineError as exc:
+    except (DomainError, SizeLimitError, PipelineError) as exc:
         emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, fmt)
-        return EXIT_STUCK
-    except SizeLimitError as exc:
-        emit({"error": {"type": "SizeLimitError", "message": str(exc)}}, fmt)
-        return EXIT_SIZE
-    except DomainError as exc:
-        emit({"error": {"type": "DomainError", "message": str(exc)}}, fmt)
-        return EXIT_DOMAIN
+        if isinstance(exc, DomainError):
+            return EXIT_DOMAIN
+        return EXIT_SIZE if isinstance(exc, SizeLimitError) else EXIT_STUCK
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, comb, factorial
+from math import ceil, factorial
 
 from .constructions import barrier_edges, space_barrier_edge_count
 from .core import Hypergraph, _mask, vertex_subset
@@ -98,8 +98,9 @@ def closest_partition(
 
     Exhaustive scan over all C(n, m) candidates (ties broken to the
     lexicographically least W) for n <= 16; beyond that the caller must pick
-    the seeded local-search mode, a steepest-descent swap heuristic with
-    restarts that carries no optimality guarantee.
+    the seeded local-search mode, a first-improvement swap heuristic (it takes
+    the first swap, in scan order, that lowers the deficit) with restarts that
+    carries no optimality guarantee.
     """
     if not 0 <= m <= H.n:
         raise DomainError(f"need 0 <= m <= n, got m={m}")

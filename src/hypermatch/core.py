@@ -1,4 +1,4 @@
-"""k-uniform hypergraphs on vertices 0..n-1, with degrees, links and subgraphs.
+"""k-uniform hypergraphs on vertices 0..n-1, with degrees and subgraphs.
 
 Conventions used throughout the package:
 
@@ -138,20 +138,6 @@ def weakest_set(H: Hypergraph, l: int) -> tuple:
     return best_t, best_d
 
 
-def link(H: Hypergraph, S: Iterable[int]) -> Hypergraph:
-    """The (k-|S|)-graph of neighborhoods of S, on the same vertex indexing."""
-    s = vertex_subset(H, S)
-    if len(s) >= H.k:
-        raise DomainError(f"link needs |S| < k, got |S|={len(s)}")
-    sm = _mask(s)
-    sset = set(s)
-    out = []
-    for e, em in zip(H.edges, H.edge_masks):
-        if em & sm == sm:
-            out.append(tuple(v for v in e if v not in sset))
-    return Hypergraph(H.n, H.k - len(s), out)
-
-
 class Subgraph(NamedTuple):
     """A relabeled subgraph plus the order-preserving map back to the host.
 
@@ -182,12 +168,6 @@ def remove(H: Hypergraph, S: Iterable[int]) -> Subgraph:
     """H - S: induced subgraph on the complement of S."""
     s = set(vertex_subset(H, S))
     return induced(H, [v for v in range(H.n) if v not in s])
-
-
-def is_independent(H: Hypergraph, S: Iterable[int]) -> bool:
-    """True iff S contains no edge of H."""
-    sm = _mask(vertex_subset(H, S))
-    return all(em & sm != em for em in H.edge_masks)
 
 
 def to_json(H: Hypergraph) -> str:

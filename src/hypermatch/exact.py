@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .core import Hypergraph, _mask, vertex_subset
+from .core import Hypergraph, _mask
 from .errors import CertificationError, DomainError, SizeLimitError
 
 

@@ -46,25 +46,14 @@ class RoundOneSample:
     n: int
     k: int
     p: Fraction
-    seed: int
     copies: tuple  # sorted vertex tuples, each of size divisible by k
     y_singleton: tuple  # y_singleton[v] = number of copies containing v
 
-    def y(self, S) -> int:
-        """Multiplicity of S across copies, recounted from scratch."""
-        s = set(S)
-        return sum(1 for c in self.copies if s.issubset(c))
-
-    def pair_multiplicities(self) -> Counter:
+    def multiplicities(self, r: int) -> Counter:
+        """For every r-set inside some copy, the number of copies containing it."""
         out: Counter = Counter()
         for c in self.copies:
-            out.update(combinations(c, 2))
-        return out
-
-    def kset_multiplicities(self) -> Counter:
-        out: Counter = Counter()
-        for c in self.copies:
-            out.update(combinations(c, self.k))
+            out.update(combinations(c, r))
         return out
 
     def deg(self, H: Hypergraph, i: int, D) -> int:
@@ -94,7 +83,7 @@ def round1_sample(H: Hypergraph, copies: int, p: Fraction, seed: int) -> RoundOn
         out.append(copy)
         for v in copy:
             y[v] += 1
-    return RoundOneSample(n, k, p, seed, tuple(out), tuple(y))
+    return RoundOneSample(n, k, p, tuple(out), tuple(y))
 
 
 def default_halfwidth(mu: Fraction) -> Fraction:
@@ -139,7 +128,7 @@ def check_round1_properties(
         "violations": bad[:20],
     }
 
-    pairs = sample.pair_multiplicities()
+    pairs = sample.multiplicities(2)
     pair_bad = [(pq, c) for pq, c in pairs.items() if c > PAIR_CAP]
     report["pair"] = {
         "ok": not pair_bad,
@@ -149,7 +138,7 @@ def check_round1_properties(
         "violations": sorted(pair_bad)[:20],
     }
 
-    ksets = sample.kset_multiplicities()
+    ksets = sample.multiplicities(sample.k)
     edge_bad = []
     edge_checked = 0
     for e, c in ksets.items():

@@ -26,11 +26,6 @@ from .exact import max_matching
 from .rng import TAG_CLOSURE, CounterRng, combination_unrank
 
 
-def edge_le(e, f) -> bool:
-    """Componentwise order on sorted k-tuples."""
-    return all(a <= b for a, b in zip(e, f))
-
-
 def _decrements(f):
     """All valid single-step decrements of a sorted tuple, in position order."""
     for i, x in enumerate(f):

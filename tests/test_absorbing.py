@@ -2,25 +2,24 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
 import hypermatch
 
 from hypermatch import (
+    AbsorbingFamily,
     AbsorbingParameters,
     AbsorptionStuckError,
     CertificationError,
     DomainError,
     Hypergraph,
-    SizeLimitError,
     absorb,
     build_space_barrier,
     complete_hypergraph,
     default_parameters,
-    enumerate_absorbing,
-    is_absorbing,
+    induced,
+    max_matching,
     sample_absorbing_family,
     validate_matching,
 )
@@ -69,45 +68,29 @@ class TestParameters:
 
 
 class TestIsAbsorbing:
+    # Whether Q = (4, 5, 6) absorbs R = (0, 1, 2, 3), asked through absorb
+    # with Q as the family's only member.
+    FAMILY = AbsorbingFamily(PARAMS32, ((4, 5, 6),), (((4, 5, 6),),), {})
+
     def test_complete_seven(self):
         K7 = complete_hypergraph(7, 3)
-        assert is_absorbing(K7, PARAMS32, (0, 1, 2, 3), (4, 5, 6))
+        res = absorb(K7, self.FAMILY, (0, 1, 2, 3))
+        assert len(res.matching) == PARAMS32.a + 1 and validate_matching(K7, res.matching)
+        assert len(res.uncovered) == 1
 
     def test_empty_host_never_absorbs(self):
         H = Hypergraph(7, 3, [])
-        assert not is_absorbing(H, PARAMS32, (0, 1, 2, 3), (4, 5, 6))
+        assert sample_absorbing_family(H, PARAMS32, Fraction(1, 2), 0, probes=0).members == ()
+        with pytest.raises(AbsorptionStuckError) as err:
+            absorb(H, self.FAMILY, (0, 1, 2, 3))
+        assert err.value.pending == (0, 1, 2, 3)
 
     def test_spanning_without_extension_fails(self):
         # Q spans a matching but the union has no second disjoint edge.
         H = Hypergraph(7, 3, [(4, 5, 6)])
-        assert not is_absorbing(H, PARAMS32, (0, 1, 2, 3), (4, 5, 6))
-
-    def test_size_and_overlap_validation(self):
-        K7 = complete_hypergraph(7, 3)
-        with pytest.raises(DomainError):
-            is_absorbing(K7, PARAMS32, (0, 1, 2), (4, 5, 6))
-        with pytest.raises(DomainError):
-            is_absorbing(K7, PARAMS32, (0, 1, 2, 3), (3, 5, 6))
-
-
-class TestEnumerate:
-    def test_complete_seven_unique_absorber(self):
-        res = enumerate_absorbing(complete_hypergraph(7, 3), PARAMS32, (0, 1, 2, 3))
-        assert res.absorbers == ((4, 5, 6),)
-        assert res.density == Fraction(1, 7**3)
-
-    def test_complete_eight_all_disjoint_triples(self):
-        res = enumerate_absorbing(complete_hypergraph(8, 3), PARAMS32, (0, 1, 2, 3))
-        assert len(res.absorbers) == 4
-        assert set(res.absorbers) == set(combinations(range(4, 8), 3))
-
-    def test_empty_host(self):
-        res = enumerate_absorbing(Hypergraph(8, 3, []), PARAMS32, (0, 1, 2, 3))
-        assert res.absorbers == ()
-
-    def test_size_guard(self):
-        with pytest.raises(SizeLimitError):
-            enumerate_absorbing(complete_hypergraph(21, 3), PARAMS32, (0, 1, 2, 3))
+        with pytest.raises(AbsorptionStuckError) as err:
+            absorb(H, self.FAMILY, (0, 1, 2, 3))
+        assert err.value.pending == (0, 1, 2, 3)
 
 
 class TestSampling:
@@ -149,17 +132,17 @@ class TestSampling:
     @pytest.mark.parametrize("seed", [1, 3, 4])
     def test_probe_count_matches_is_absorbing_recount(self, seed):
         # On a barrier host some members miss some probes, so the minimum
-        # falls below the family size; recount it through the public test.
+        # falls below the family size; recount nu(H[R u Q]) >= a + 1 directly.
         H = build_space_barrier(15, 3, 3, 4)
         fam = sample_absorbing_family(H, PARAMS32, Fraction(1, 3), seed, probes=30)
         free = [v for v in range(H.n) if v not in fam.covered]
         rng = CounterRng(seed)
         counts = [
             sum(
-                is_absorbing(H, PARAMS32, rng.sample(free, PARAMS32.r_size, TAG_PROBE, j), q)
+                max_matching(induced(H, set(probe) | set(q)).graph).size >= PARAMS32.a + 1
                 for q in fam.members
             )
-            for j in range(30)
+            for probe in (rng.sample(free, PARAMS32.r_size, TAG_PROBE, j) for j in range(30))
         ]
         assert fam.diagnostics["probe_count"] == 30
         assert fam.diagnostics["min_absorbers_over_probes"] == min(counts) < len(fam.members)

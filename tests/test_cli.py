@@ -104,6 +104,12 @@ class TestBasicCommands:
         code, rep = run_json(capsys, "fdense", str(path), "--eps", "1/2")
         assert rep["results"]["dense"] is False
         assert rep["results"]["witness"] == [3, 4, 5, 6, 7]
+        # eps >= 4(1 - 1/k) makes the qualifying size 0: the empty set violates.
+        path = tmp_path / "two.json"
+        save(Hypergraph(7, 3, [(0, 1, 2), (2, 3, 4)]), path)
+        code, rep = run_json(capsys, "fdense", str(path), "--eps", "4")
+        assert code == 0
+        assert rep["results"] == {"dense": False, "witness": []}
 
     def test_fdense_sampled_mode_uses_seed(self, capsys, tmp_path):
         # n = 18 is above the exhaustive limit, so candidate sets are drawn.
@@ -173,6 +179,11 @@ class TestBasicCommands:
             capsys, "sweep", "--k", "3", "--l", "2", "--n-start", "9", "--n-end", "8"
         )
         assert code == 0 and rep["results"]["rows"] == []
+        _, csv_text = run(
+            capsys, "sweep", "--k", "3", "--l", "2", "--n-start", "9", "--n-end", "8",
+            "--format", "csv",
+        )
+        assert "results.rows,[]" in csv_text.splitlines()
 
     def test_sweep_reference_row(self, capsys):
         code, rep = run_json(
@@ -186,28 +197,29 @@ class TestBasicCommands:
         assert row["barrier_nu"] == 2
 
     def test_sweep_m_range_with_absorber_ceiling_two(self, capsys):
-        k, l, mu = 5, 3, Fraction(1, 4)
-        a = ceil(Fraction(k - l, 2 * l - k))
-        assert a == 2
-        code, rep = run_json(
-            capsys, "sweep", "--k", "5", "--l", "3", "--n-start", "10", "--n-end", "12"
-        )
-        assert code == 0
-        rows = rep["results"]["rows"]
-        got = {}
-        for row in rows:
-            got.setdefault(row["n"], set()).add(row["m"])
-        # n/k - mu*n <= m <= n/k - 1 - (1 - l/k)*a; 3l < 2k adds no extra m.
-        expected = {
-            n: {
-                m
-                for m in range(n - l + 1)
-                if Fraction(n, k) - mu * n <= m <= Fraction(n, k) - 1 - (1 - Fraction(l, k)) * a
+        mu = Fraction(1, 4)
+        # (6, 4, 13) has 3l >= 2k but r = n mod k < k - l: m = ceil(n/k) - 2 = 1
+        # lies above the range and gets no row.
+        for k, l, n_start, n_end, a in [(5, 3, 10, 12, 2), (6, 4, 13, 13, 1)]:
+            assert a == ceil(Fraction(k - l, 2 * l - k))
+            code, rep = run_json(
+                capsys, "sweep", "--k", str(k), "--l", str(l),
+                "--n-start", str(n_start), "--n-end", str(n_end),
+            )
+            assert code == 0
+            rows = rep["results"]["rows"]
+            got = {}
+            for row in rows:
+                got.setdefault(row["n"], set()).add(row["m"])
+            # Exactly n/k - mu*n <= m <= n/k - 1 - (1 - l/k)*a.
+            lower = lambda n: Fraction(n, k) - mu * n
+            upper = lambda n: Fraction(n, k) - 1 - (1 - Fraction(l, k)) * a
+            expected = {
+                n: {m for m in range(n - l + 1) if lower(n) <= m <= upper(n)}
+                for n in range(n_start, n_end + 1)
             }
-            for n in range(10, 13)
-        }
-        assert got == expected
-        assert all(row["tight"] for row in rows)
+            assert got == expected
+            assert all(row["tight"] for row in rows)
 
 
 class TestErrorSurface:
@@ -300,7 +312,7 @@ class TestReportDiscipline:
         _, second = run(capsys, "nu", barrier_file)
         assert first == second
 
-    def test_csv_agrees_with_json_field_for_field(self, capsys, barrier_file):
+    def test_csv_agrees_with_json_field_for_field(self, capsys, tmp_path, barrier_file):
         _, payload = run_json(capsys, "degrees", barrier_file, "--l", "1")
         _, csv_text = run(capsys, "degrees", barrier_file, "--l", "1", "--format", "csv")
         lines = csv_text.strip().splitlines()
@@ -310,6 +322,13 @@ class TestReportDiscipline:
         assert fields["command"] == "degrees"
         # Every scalar leaf of the JSON payload appears in the CSV.
         assert str(payload["results"]["l"]) == fields["results.l"]
+        # An empty container is a leaf too: nu on an edgeless host has no witness.
+        path = tmp_path / "edgeless.json"
+        save(Hypergraph(6, 3, []), path)
+        _, payload = run_json(capsys, "nu", str(path))
+        _, csv_text = run(capsys, "nu", str(path), "--format", "csv")
+        fields = dict(line.split(",", 1) for line in csv_text.strip().splitlines()[1:])
+        assert payload["results"]["witness"] == [] and fields["results.witness"] == "[]"
 
     def test_reports_echo_parameters_and_seed(self, capsys, tmp_path):
         path = tmp_path / "k9.json"

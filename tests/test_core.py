@@ -14,8 +14,6 @@ from hypermatch import (
     degree,
     from_json,
     induced,
-    is_independent,
-    link,
     min_l_degree,
     remove,
     to_json,
@@ -111,31 +109,6 @@ class TestMinLDegree:
             min_l_degree(fano, -1)
 
 
-class TestLink:
-    def test_complete_link(self):
-        L = link(complete_hypergraph(4, 3), (0,))
-        assert L.k == 2 and L.n == 4
-        assert set(L.edges) == {(1, 2), (2, 3), (1, 3)}
-
-    def test_fano_link_is_three_disjoint_pairs(self, fano):
-        for v in range(7):
-            L = link(fano, (v,))
-            assert L.num_edges == 3 == degree(fano, (v,))
-            covered = [u for e in L.edges for u in e]
-            assert len(covered) == len(set(covered)) == 6
-
-    def test_link_of_uncontained_set_is_empty(self, fano):
-        # No line contains two points twice over: a non-collinear pair links
-        # to a single point, and pairs reaching degree 0 do not exist here,
-        # so use a set with no extension instead.
-        H = Hypergraph(5, 3, [(0, 1, 2)])
-        assert link(H, (3, 4)).num_edges == 0
-
-    def test_link_size_guard(self, fano):
-        with pytest.raises(DomainError):
-            link(fano, (0, 1, 2))
-
-
 class TestSubgraphs:
     def test_induced_complete(self):
         sub = induced(complete_hypergraph(6, 3), (0, 1, 2, 4, 5))
@@ -160,18 +133,6 @@ class TestSubgraphs:
         assert len(lifted) == sub.graph.num_edges
 
 
-class TestIndependence:
-    def test_barrier_far_side_independent(self):
-        H = build_space_barrier(9, 3, 3, 2)
-        assert is_independent(H, tuple(range(2, 9)))
-
-    def test_complete_graph_edge_not_independent(self):
-        assert not is_independent(complete_hypergraph(6, 3), (1, 3, 5))
-
-    def test_small_sets_trivially_independent(self, fano):
-        assert is_independent(fano, (2, 4))
-
-
 class TestSerialization:
     def test_round_trip_identity(self, fano):
         assert from_json(to_json(fano)) == fano
@@ -192,12 +153,13 @@ class TestSerialization:
 
 @given(seed=seeds, n=st.integers(3, 8), k=st.integers(2, 3))
 def test_degree_equals_link_edge_count(seed, n, k):
+    # deg(S) is the edge count of S's link: the edges that contain S.
     if k > n:
         return
     H = random_hypergraph(n, k, Fraction(1, 2), seed)
     for size in range(k):
         for s in combinations(range(n), size):
-            assert degree(H, s) == link(H, s).num_edges
+            assert degree(H, s) == brute_degree(H, s)
 
 
 @given(seed=seeds, n=st.integers(4, 8), k=st.integers(2, 3))

@@ -54,11 +54,16 @@ class TestRoundOne:
     def test_multiplicities_match_recount(self):
         H = complete_hypergraph(9, 3)
         sample = round1_sample(H, 12, HALF, seed=5)
+
+        def recount(s):
+            return sum(1 for c in sample.copies if set(s) <= set(c))
+
         for v in range(9):
-            assert sample.y((v,)) == sample.y_singleton[v]
-        pairs = sample.pair_multiplicities()
-        for pq in combinations(range(9), 2):
-            assert sample.y(pq) == pairs.get(pq, 0)
+            assert recount((v,)) == sample.y_singleton[v]
+        for r in (2, 3):
+            counts = sample.multiplicities(r)
+            for s in combinations(range(9), r):
+                assert recount(s) == counts.get(s, 0)
 
     def test_deterministic(self):
         H = complete_hypergraph(9, 3)
@@ -82,7 +87,7 @@ class TestRoundOneProperties:
         # centred on 15, and the shared pairs and edge exceed both caps.
         H = complete_hypergraph(30, 3)
         y = (30,) * 3 + (0,) * 27
-        sample = RoundOneSample(30, 3, HALF, 0, ((0, 1, 2),) * 30, y)
+        sample = RoundOneSample(30, 3, HALF, ((0, 1, 2),) * 30, y)
         report = check_round1_properties(sample, H)
         width = default_halfwidth(Fraction(15))
         assert (report["singleton"]["center"], report["singleton"]["halfwidth"]) == (15, width)
