@@ -69,7 +69,6 @@ from .absorbing import (
 from .pipeline import (
     PipelineResult,
     RoundOneSample,
-    SparseSubgraph,
     almost_perfect_pipeline,
     check_round1_properties,
     greedy_low_degradation_matching,

@@ -35,7 +35,14 @@ def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"expected a rational like p/q, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected a rational like p/q, got {text!r}") from exc
+
+
+def _int_list(text: str) -> list:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
 def _vertices(text: str) -> tuple:
@@ -290,7 +297,7 @@ def cmd_sparsify(args):
         H, args.copies, args.p, args.seed or 0, eps=args.eps
     )
     if args.output:
-        core.save(sparse.subgraph, args.output)
+        core.save(sparse, args.output)
         diag["output"] = args.output
     return {"claim": "weighted-sparsification", "results": diag}
 
@@ -537,7 +544,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n-start", type=int, required=True)
     p.add_argument("--n-end", type=int, required=True)
     p.add_argument("--mu", type=_fraction, default=Fraction(1, 4))
-    p.add_argument("--m-list", type=lambda s: [int(x) for x in s.split(",")])
+    p.add_argument("--m-list", type=_int_list)
     p.add_argument("--search-trials", type=int, default=0)
     p.add_argument("--search-p", type=_fraction, default=Fraction(3, 4))
     p.set_defaults(handler=cmd_sweep)

@@ -168,8 +168,6 @@ def f_density_check(
     n, k = H.n, H.k
     floor_frac = (1 - Fraction(1, k) - eps / 4) * n
     size = max(0, ceil(floor_frac))
-    if size > n:
-        return True, None
     need = eps * H.num_edges / (2 * factorial(k))
     masks = H.edge_masks
 

@@ -2,12 +2,12 @@
 
 Round one draws independent vertex subsets (copies), each vertex kept with
 probability p, then trims fewer than k uniformly chosen vertices so the copy
-size is a multiple of k. Round two keeps, independently for each copy with a
-perfect fractional matching, every edge inside the copy with probability
-equal to its fractional weight, and unions the selections into a spanning
-subgraph whose degree spread and pair codegree are then measured exactly.
-The measured contract is what matters downstream; no asymptotic rate is
-asserted anywhere.
+size is a multiple of k. Round two draws from the weight maps that
+`certify_copies` certified as perfect fractional matchings: each certified
+copy keeps each of its edges with probability equal to that edge's weight,
+and the selections are unioned into a spanning subgraph whose degree spread
+and pair codegree are then measured exactly. The measured contract is what
+matters downstream; no asymptotic rate is asserted anywhere.
 
 The closing matcher is a deterministic greedy fallback (repeatedly take the
 available edge minimizing the worst degree degradation it inflicts, ties by
@@ -26,13 +26,13 @@ EDGE_CAP.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .constructions import comb0
 from .core import Hypergraph, induced, vertex_subset
-from .errors import DomainError, PipelineError
+from .errors import CertificationError, DomainError, PipelineError
 from .exact import independence_number
 from .fractional import fractional_optimum
 from .rng import TAG_ROUND1, TAG_ROUND2, TAG_TRIM, CounterRng
@@ -93,6 +93,11 @@ def default_halfwidth(mu: Fraction) -> Fraction:
     return Fraction(round(w * 10**6), 10**6)
 
 
+def _verdict(bad: list, **echo) -> dict:
+    """One round-one property: ok, the echoed band or cap, then the violations."""
+    return {"ok": not bad, **echo, "violation_count": len(bad), "violations": bad[:20]}
+
+
 def check_round1_properties(
     sample: RoundOneSample, H: Hypergraph, deg_probes=(), xi: Fraction = Fraction(1, 10)
 ) -> dict:
@@ -118,25 +123,17 @@ def check_round1_properties(
         for v, yv in enumerate(sample.y_singleton)
         if abs(yv - singleton_center) > singleton_halfwidth
     ]
-    report["singleton"] = {
-        "ok": not bad,
-        "center": singleton_center,
-        "halfwidth": singleton_halfwidth,
-        "max": max(sample.y_singleton, default=0),
-        "min": min(sample.y_singleton, default=0),
-        "violation_count": len(bad),
-        "violations": bad[:20],
-    }
+    report["singleton"] = _verdict(
+        bad,
+        center=singleton_center,
+        halfwidth=singleton_halfwidth,
+        max=max(sample.y_singleton, default=0),
+        min=min(sample.y_singleton, default=0),
+    )
 
     pairs = sample.multiplicities(2)
     pair_bad = [(pq, c) for pq, c in pairs.items() if c > PAIR_CAP]
-    report["pair"] = {
-        "ok": not pair_bad,
-        "cap": PAIR_CAP,
-        "max": max(pairs.values(), default=0),
-        "violation_count": len(pair_bad),
-        "violations": sorted(pair_bad)[:20],
-    }
+    report["pair"] = _verdict(sorted(pair_bad), cap=PAIR_CAP, max=max(pairs.values(), default=0))
 
     ksets = sample.multiplicities(sample.k)
     edge_bad = []
@@ -146,28 +143,24 @@ def check_round1_properties(
             edge_checked += 1
             if c > EDGE_CAP:
                 edge_bad.append((e, c))
-    report["edge"] = {
-        "ok": not edge_bad,
-        "cap": EDGE_CAP,
-        "edges_seen_in_copies": edge_checked,
-        "max_over_ksets": max(ksets.values(), default=0),
-        "violation_count": len(edge_bad),
-        "violations": sorted(edge_bad)[:20],
-    }
+    report["edge"] = _verdict(
+        sorted(edge_bad),
+        cap=EDGE_CAP,
+        edges_seen_in_copies=edge_checked,
+        max_over_ksets=max(ksets.values(), default=0),
+    )
 
     size_bad = [
         (i, len(c)) for i, c in enumerate(sample.copies) if abs(len(c) - size_center) > size_halfwidth
     ]
-    report["size"] = {
-        "ok": not size_bad,
-        "center": size_center,
-        "halfwidth": size_halfwidth,
-        "max_deviation": max(
+    report["size"] = _verdict(
+        size_bad,
+        center=size_center,
+        halfwidth=size_halfwidth,
+        max_deviation=max(
             (abs(len(c) - size_center) for c in sample.copies), default=Fraction(0)
         ),
-        "violation_count": len(size_bad),
-        "violations": size_bad[:20],
-    }
+    )
 
     if deg_probes:
         k = sample.k
@@ -180,24 +173,8 @@ def check_round1_properties(
                 val = sample.deg(H, i, D)
                 if not val > bound:
                     deg_bad.append((tuple(D), i, val))
-        report["deg"] = {
-            "ok": not deg_bad,
-            "xi": xi,
-            "probes": len(deg_probes),
-            "violation_count": len(deg_bad),
-            "violations": deg_bad[:20],
-        }
+        report["deg"] = _verdict(deg_bad, xi=xi, probes=len(deg_probes))
     return report
-
-
-@dataclass(frozen=True)
-class SparseSubgraph:
-    subgraph: Hypergraph  # spanning: same n, edges a subset of the host's
-    min_degree: int
-    max_degree: int
-    max_pair_codegree: int
-    survivors: tuple  # copy indices that contributed
-    skipped: tuple = field(default=())  # (copy index, reason)
 
 
 def _degree_stats(H: Hypergraph):
@@ -210,52 +187,29 @@ def _degree_stats(H: Hypergraph):
     return min(deg, default=0), max(deg, default=0), max(codeg.values(), default=0)
 
 
-def round2_sparsify(H: Hypergraph, sample: RoundOneSample, fracs, seed: int) -> SparseSubgraph:
+def round2_sparsify(H: Hypergraph, sample: RoundOneSample, fracs, seed: int) -> Hypergraph:
     """Union of per-copy edge selections drawn by fractional weight.
 
-    fracs[i] is None or a map from host-labeled edges to weights that must
-    be a perfect fractional matching of the copy's induced subgraph; entries
-    that are missing, not feasible, or not perfect are skipped with a reason,
-    and the run fails only if nothing survives.
+    fracs[i] is None or the host-labeled weight map that `certify_copies`
+    certified as a perfect fractional matching of copy i; each positive-weight
+    edge is kept with probability its weight. The run fails only if every
+    slot is None. Returns the spanning subgraph of the selected edges.
     """
     if len(fracs) != len(sample.copies):
         raise DomainError("need one fractional solution slot per copy")
+    if all(weights is None for weights in fracs):
+        raise PipelineError("round2: no fractionally matchable copies")
     rng = CounterRng(seed)
     selected = set()
-    survivors = []
-    skipped = []
-    for i, (copy, weights) in enumerate(zip(sample.copies, fracs)):
+    for i, weights in enumerate(fracs):
         if weights is None:
-            skipped.append((i, "missing"))
             continue
-        inside = set(copy)
-        load: Counter = Counter()
-        total = Fraction(0)
-        ok = True
-        for e, w in weights.items():
-            if w == 0:
-                continue
-            if w < 0 or w > 1 or e not in H.edge_set or not set(e) <= inside:
-                ok = False
-                break
-            total += w
-            for v in e:
-                load[v] += w
-        if not ok or any(l > 1 for l in load.values()):
-            skipped.append((i, "infeasible"))
-            continue
-        if total != Fraction(len(copy), H.k):
-            skipped.append((i, "not-perfect"))
-            continue
-        survivors.append(i)
         for j, (e, w) in enumerate(sorted((e, w) for e, w in weights.items() if w > 0)):
-            if rng.unit(TAG_ROUND2, i, j) < w:
+            if rng.bernoulli(w, TAG_ROUND2, i, j):
                 selected.add(e)
-    if not survivors:
-        raise PipelineError("round2: no fractionally matchable copies")
-    sub = Hypergraph(H.n, H.k, sorted(selected))
-    dmin, dmax, codeg = _degree_stats(sub)
-    return SparseSubgraph(sub, dmin, dmax, codeg, tuple(survivors), tuple(skipped))
+    if not selected <= H.edge_set:
+        raise CertificationError(f"round2: selected non-host edges {sorted(selected - H.edge_set)}")
+    return Hypergraph(H.n, H.k, sorted(selected))
 
 
 def greedy_low_degradation_matching(H: Hypergraph) -> tuple:
@@ -263,13 +217,11 @@ def greedy_low_degradation_matching(H: Hypergraph) -> tuple:
     degrades the surviving degrees least (min over edges of the max, over
     outside vertices, of incident available edges killed), ties lexicographic.
     """
-    covered = 0
     available = list(zip(H.edges, H.edge_masks))
     out = []
     while available:
         best = None
         for e, em in available:
-            worst = 0
             hit: Counter = Counter()
             for f, fm in available:
                 if fm & em and f != e:
@@ -281,8 +233,7 @@ def greedy_low_degradation_matching(H: Hypergraph) -> tuple:
                 best = (worst, e, em)
         _, e, em = best
         out.append(e)
-        covered |= em
-        available = [(f, fm) for f, fm in available if not fm & covered]
+        available = [(f, fm) for f, fm in available if not fm & em]
     return tuple(out)
 
 
@@ -326,19 +277,20 @@ def certify_copies(H: Hypergraph, sample: RoundOneSample, eps: Fraction | None) 
 def sparsify_stage(
     H: Hypergraph, copies: int, p: Fraction, seed: int, eps: Fraction | None = Fraction(1, 2)
 ) -> tuple:
-    """Rounds one and two together; returns (sparse, diagnostics)."""
+    """Rounds one and two together; returns (spanning subgraph, diagnostics)."""
     sample = round1_sample(H, copies, p, seed)
     fracs, gate_diag = certify_copies(H, sample, eps)
     sparse = round2_sparsify(H, sample, fracs, seed)
+    dmin, dmax, codeg = _degree_stats(sparse)
     diagnostics = {
         "round1": {"copies": copies, "sizes": [len(c) for c in sample.copies]},
         "gate": gate_diag,
         "round2": {
-            "edges": sparse.subgraph.num_edges,
-            "min_degree": sparse.min_degree,
-            "max_degree": sparse.max_degree,
-            "max_pair_codegree": sparse.max_pair_codegree,
-            "survivors": len(sparse.survivors),
+            "edges": sparse.num_edges,
+            "min_degree": dmin,
+            "max_degree": dmax,
+            "max_pair_codegree": codeg,
+            "survivors": gate_diag["passed"],
         },
     }
     return sparse, diagnostics
@@ -357,12 +309,12 @@ def almost_perfect_pipeline(
     errors propagate with their stage label.
     """
     n = H.n
-    if H.num_edges == 0 or n == 0:
+    if H.num_edges == 0:
         diagnostics = {"short_circuit": "host has no edges"}
         return PipelineResult((), n, Fraction(1) if n else Fraction(0), diagnostics)
 
     sparse, diagnostics = sparsify_stage(H, copies, p, seed, eps)
-    matching = greedy_low_degradation_matching(sparse.subgraph)
+    matching = greedy_low_degradation_matching(sparse)
     uncovered = n - H.k * len(matching)
     diagnostics["greedy"] = {"size": len(matching)}
     return PipelineResult(matching, uncovered, Fraction(uncovered, n), diagnostics)

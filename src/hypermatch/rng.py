@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+from .core import Hypergraph
 from .errors import DomainError
 
 _MASK64 = (1 << 64) - 1
@@ -53,12 +54,9 @@ class CounterRng:
             h = splitmix64(h ^ (int(part) & _MASK64))
         return h
 
-    def unit(self, *key: int) -> Fraction:
-        """Uniform rational in [0, 1) with 53-bit resolution."""
-        return Fraction(self.raw(*key) >> 11, 1 << 53)
-
     def bernoulli(self, p: Fraction, *key: int) -> bool:
-        """True with probability p: the same verdict as `unit(*key) < p`, in ints."""
+        """True with probability p: the top 53 bits of the draw, read as a
+        rational in [0, 1), fall below p; compared in integers."""
         return (self.raw(*key) >> 11) * p.denominator < p.numerator << 53
 
     def below(self, bound: int, *key: int) -> int:
@@ -107,9 +105,7 @@ def bernoulli_subsets(n: int, k: int, p: Fraction, rng: CounterRng, tag: int):
             yield cand
 
 
-def random_hypergraph(n: int, k: int, p: Fraction, seed: int):
+def random_hypergraph(n: int, k: int, p: Fraction, seed: int) -> Hypergraph:
     """Seeded Erdos-Renyi style k-graph: every k-set kept with probability p."""
-    from .core import Hypergraph
-
     rng = CounterRng(seed)
     return Hypergraph(n, k, list(bernoulli_subsets(n, k, p, rng, TAG_EDGE_SAMPLE)))

@@ -50,8 +50,6 @@ def is_stable(H: Hypergraph) -> StabilityResult:
 
 def shadow(H: Hypergraph) -> frozenset:
     """All (k-1)-subsets contained in some edge."""
-    if H.k < 1:
-        raise DomainError("shadow needs k >= 1")
     out = set()
     for e in H.edges:
         for i in range(H.k):

@@ -254,48 +254,77 @@ class TestErrorSurface:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "content, argv",
+        "content, argv, message",
         [
-            pytest.param(b'{"n": 4, "k": 2, "edges": null}', ["nu", "{file}"], id="edges-null"),
-            pytest.param(b'{"n": 4, "k": 2, "edges": [5]}', ["nu", "{file}"], id="edge-not-list"),
-            pytest.param(b'{"n": 4, "k": 2, "edges": [["a", 1]]}', ["nu", "{file}"], id="string-vertex"),
-            pytest.param(b'{"n": true, "k": 1, "edges": [[0]]}', ["nu", "{file}"], id="bool-n"),
-            pytest.param(b'{"n": 4, "k": true, "edges": [[0]]}', ["nu", "{file}"], id="bool-k"),
-            pytest.param(b'{"n": 4, "k": 2, "edges": [[false, true]]}', ["nu", "{file}"], id="bool-vertices"),
-            pytest.param(b'{"n": 4, "k": 2, "edges": [[0.0, 1]]}', ["nu", "{file}"], id="float-vertex"),
-            pytest.param(b"\xff\xfe", ["nu", "{file}"], id="not-utf8"),
-            pytest.param(None, ["nu", "{file}"], id="missing-file"),
+            pytest.param(b'{"n": 4, "k": 2, "edges": null}', ["nu", "{file}"], None, id="edges-null"),
+            pytest.param(b'{"n": 4, "k": 2, "edges": [5]}', ["nu", "{file}"], None, id="edge-not-list"),
+            pytest.param(b'{"n": 4, "k": 2, "edges": [["a", 1]]}', ["nu", "{file}"], None, id="string-vertex"),
+            pytest.param(b'{"n": true, "k": 1, "edges": [[0]]}', ["nu", "{file}"], None, id="bool-n"),
+            pytest.param(b'{"n": 4, "k": true, "edges": [[0]]}', ["nu", "{file}"], None, id="bool-k"),
+            pytest.param(b'{"n": 4, "k": 2, "edges": [[false, true]]}', ["nu", "{file}"], None, id="bool-vertices"),
+            pytest.param(b'{"n": 4, "k": 2, "edges": [[0.0, 1]]}', ["nu", "{file}"], None, id="float-vertex"),
+            pytest.param(b"\xff\xfe", ["nu", "{file}"], None, id="not-utf8"),
+            pytest.param(None, ["nu", "{file}"], None, id="missing-file"),
             pytest.param(
                 None,
                 ["construct", "--family", "clique-minus", "--n", "6", "--k", "3", "-o", "{dir}/out.json"],
+                None,
                 id="output-dir-missing",
             ),
             pytest.param(
                 b'{"n": 6, "k": 3, "edges": [[0, 1, 2]]}',
                 ["round1", "{file}", "--copies", "1", "--p", "0", "--probe-set", "0,1,2,3"],
+                None,
                 id="probe-set-above-k",
             ),
             pytest.param(
                 b'{"n": 6, "k": 3, "edges": [[0, 1, 2]]}',
                 ["round1", "{file}", "--copies", "1", "--p", "1", "--probe-set", "99"],
+                None,
                 id="probe-vertex-outside",
             ),
-            pytest.param(None, ["verify", "--suite", "stability2", "--rho", "0"], id="stability2-rho-zero"),
-            pytest.param(None, ["verify", "--suite", "stability2", "--n", "2"], id="stability2-n-below-three"),
-            pytest.param(None, ["verify", "--suite", "katona", "--trials", "-3"], id="negative-trials"),
+            pytest.param(None, ["verify", "--suite", "stability2", "--rho", "0"], None, id="stability2-rho-zero"),
+            pytest.param(None, ["verify", "--suite", "stability2", "--n", "2"], None, id="stability2-n-below-three"),
+            pytest.param(None, ["verify", "--suite", "katona", "--trials", "-3"], None, id="negative-trials"),
             pytest.param(
                 to_json(complete_hypergraph(9, 3)).encode(),
                 ["absorb", "{file}", "--l", "2", "--a", "1", "--h", "2", "--rho", "1/5", "--probes", "-4"],
+                None,
                 id="negative-probes",
             ),
             pytest.param(
                 None,
                 ["sweep", "--k", "3", "--l", "2", "--n-start", "6", "--n-end", "6", "--search-trials", "-2"],
+                None,
                 id="negative-search-trials",
+            ),
+            pytest.param(
+                b'{"n": 6, "k": 3, "edges": [[0, 1, 2]]}',
+                ["round1", "{file}", "--copies", "1", "--p", "abc"],
+                "argument --p: expected a rational like p/q, got 'abc'",
+                id="p-not-rational",
+            ),
+            pytest.param(
+                b'{"n": 6, "k": 3, "edges": [[0, 1, 2]]}',
+                ["round1", "{file}", "--copies", "1", "--p", "1/0"],
+                "argument --p: expected a rational like p/q, got '1/0'",
+                id="p-zero-denominator",
+            ),
+            pytest.param(
+                None,
+                ["sweep", "--k", "3", "--l", "2", "--n-start", "9", "--n-end", "9", "--m-list", "a"],
+                "argument --m-list: expected comma-separated integers, got 'a'",
+                id="m-list-not-integer",
+            ),
+            pytest.param(
+                None,
+                ["sweep", "--k", "3", "--l", "2", "--n-start", "9", "--n-end", "9", "--m-list", "1,,2"],
+                "argument --m-list: expected comma-separated integers, got '1,,2'",
+                id="m-list-empty-item",
             ),
         ],
     )
-    def test_malformed_input_is_domain_error(self, capsys, tmp_path, content, argv):
+    def test_malformed_input_is_domain_error(self, capsys, tmp_path, content, argv, message):
         path = tmp_path / "in.json"
         if content is not None:
             path.write_bytes(content)
@@ -304,6 +333,8 @@ class TestErrorSurface:
         assert code == 1
         assert list(rep) == ["error"] and rep["error"]["type"] == "DomainError"
         assert "outside" not in rep["error"]["message"]
+        if message is not None:
+            assert rep["error"]["message"] == message
 
 
 class TestReportDiscipline:

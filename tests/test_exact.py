@@ -131,3 +131,44 @@ def test_berge_equals_matching_number(seed, n):
     assert cert.value == max_matching(G).size
     # The minimized quantity is even at the optimum, so the value is integral.
     assert (n - cert.odd_components + len(cert.vertex_set)) % 2 == 0
+
+
+def brute_matching_number(H):
+    # The largest r for which some r edges are pairwise disjoint.
+    best = 0
+    for r in range(1, H.n // H.k + 1):
+        if not any(
+            all(a & b == 0 for a, b in combinations(masks, 2))
+            for masks in combinations(H.edge_masks, r)
+        ):
+            break
+        best = r
+    return best
+
+
+def brute_independence_number(H):
+    # The largest vertex set that contains no edge.
+    for size in range(H.n, -1, -1):
+        for S in combinations(range(H.n), size):
+            sm = sum(1 << v for v in S)
+            if all(em & sm != em for em in H.edge_masks):
+                return size
+    return 0
+
+
+@given(
+    seed=seeds,
+    k=st.integers(3, 4),
+    n=st.integers(4, 10),
+    p=st.sampled_from([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(9, 10)]),
+)
+def test_exact_solvers_match_brute_force(seed, k, n, p):
+    H = random_hypergraph(n, k, p, seed)
+    nu, matching = max_matching(H)
+    assert nu == brute_matching_number(H)
+    assert len(matching) == nu and validate_matching(H, matching)
+    alpha, independent = independence_number(H)
+    assert alpha == brute_independence_number(H)
+    assert len(independent) == alpha and list(independent) == sorted(set(independent))
+    assert set(independent) <= set(range(n))
+    assert not any(set(e) <= set(independent) for e in H.edges)

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from hypermatch import (
+    CertificationError,
     DomainError,
     Hypergraph,
     PipelineError,
@@ -19,7 +20,7 @@ from hypermatch import (
     validate_matching,
 )
 from hypermatch.core import degree
-from hypermatch.pipeline import default_halfwidth
+from hypermatch.pipeline import default_halfwidth, sparsify_stage
 from hypermatch.rng import TAG_EDGE_SAMPLE, CounterRng
 
 HALF = Fraction(1, 2)
@@ -131,31 +132,25 @@ class TestRoundTwo:
     def test_single_full_copy_on_complete_host(self):
         K6 = complete_hypergraph(6, 3)
         sample = round1_sample(K6, 1, Fraction(1), seed=0)
-        sparse = round2_sparsify(K6, sample, [uniform_perfect_solution(6)], seed=4)
-        sub = sparse.subgraph
+        sub = round2_sparsify(K6, sample, [uniform_perfect_solution(6)], seed=4)
         assert sub.n == 6 and set(sub.edges) <= set(K6.edges)
         assert sub.num_edges >= 1
-        # Reported degree statistics agree with a recount through the core.
-        degs = [degree(sub, (v,)) for v in range(6)]
-        assert min(degs) == sparse.min_degree and max(degs) == sparse.max_degree
+        # The stage's degree statistics agree with a recount through the core.
+        sparse, diag = sparsify_stage(K6, 1, Fraction(1), seed=4)
+        degs = [degree(sparse, (v,)) for v in range(6)]
         codeg = Counter()
-        for e in sub.edges:
+        for e in sparse.edges:
             codeg.update(combinations(e, 2))
-        assert sparse.max_pair_codegree == max(codeg.values(), default=0)
+        stats = diag["round2"]
+        assert (stats["min_degree"], stats["max_degree"]) == (min(degs), max(degs))
+        assert stats["max_pair_codegree"] == max(codeg.values(), default=0)
+        assert (stats["edges"], stats["survivors"]) == (sparse.num_edges, diag["gate"]["passed"])
 
     def test_no_usable_copy_is_an_error(self):
         K6 = complete_hypergraph(6, 3)
         sample = round1_sample(K6, 2, Fraction(1), seed=0)
         with pytest.raises(PipelineError):
             round2_sparsify(K6, sample, [None, None], seed=0)
-
-    def test_imperfect_solutions_are_skipped(self):
-        K6 = complete_hypergraph(6, 3)
-        sample = round1_sample(K6, 2, Fraction(1), seed=0)
-        half_solution = {(0, 1, 2): Fraction(1)}  # total 1 != 2
-        sparse = round2_sparsify(K6, sample, [half_solution, uniform_perfect_solution(6)], 1)
-        assert sparse.survivors == (1,)
-        assert ("0", "not-perfect") == (str(sparse.skipped[0][0]), sparse.skipped[0][1])
 
     def test_disjoint_mass_adds_degrees(self):
         H = Hypergraph(6, 3, [(0, 1, 2), (3, 4, 5)])
@@ -164,9 +159,16 @@ class TestRoundTwo:
             {(0, 1, 2): Fraction(1), (3, 4, 5): Fraction(1)},
             {(0, 1, 2): Fraction(1), (3, 4, 5): Fraction(1)},
         ]
-        sparse = round2_sparsify(H, sample, fracs, seed=0)
-        assert sparse.subgraph.num_edges == 2
-        assert sparse.min_degree == 1 and sparse.max_degree == 1
+        sub = round2_sparsify(H, sample, fracs, seed=0)
+        assert sub.edges == H.edges
+        assert [degree(sub, (v,)) for v in range(6)] == [1] * 6
+
+    def test_non_host_edge_is_a_certification_error(self):
+        # A weight-one edge is always selected; (0, 1, 3) is not a host edge.
+        H = Hypergraph(6, 3, [(0, 1, 2), (3, 4, 5)])
+        sample = round1_sample(H, 1, Fraction(1), seed=0)
+        with pytest.raises(CertificationError):
+            round2_sparsify(H, sample, [{(0, 1, 3): Fraction(1)}], seed=0)
 
 
 class TestGreedyMatcher:

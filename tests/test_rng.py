@@ -30,15 +30,9 @@ class TestCounterRng:
 
     def test_draws_independent_of_evaluation_order(self):
         rng = CounterRng(7)
-        forward = [rng.unit(0, i) for i in range(10)]
-        backward = [rng.unit(0, i) for i in reversed(range(10))]
+        forward = [rng.raw(0, i) for i in range(10)]
+        backward = [rng.raw(0, i) for i in reversed(range(10))]
         assert forward == list(reversed(backward))
-
-    def test_unit_range(self):
-        rng = CounterRng(3)
-        for i in range(200):
-            u = rng.unit(i)
-            assert 0 <= u < 1
 
     def test_below_bounds_and_error(self):
         rng = CounterRng(5)
@@ -75,9 +69,14 @@ def test_combination_unrank_range_check():
     [Fraction(0), Fraction(1, 3), Fraction(3, 10), Fraction(1, 2), Fraction(2, 3), Fraction(1, 2**53 + 1), Fraction(1)],
 )
 def test_bernoulli_is_the_unit_comparison(p):
-    # The integer comparison must give the verdict of `unit(key) < p` on every key.
+    # The integer comparison must give the verdict of comparing the draw's top
+    # 53 bits, read as a rational in [0, 1), with p on every key.
     rng = CounterRng(11)
-    assert all(rng.bernoulli(p, 4, i) == (rng.unit(4, i) < p) for i in range(2000))
+
+    def unit(*key):
+        return Fraction(rng.raw(*key) >> 11, 2**53)
+
+    assert all(rng.bernoulli(p, 4, i) == (unit(4, i) < p) for i in range(2000))
 
 
 def test_bernoulli_subsets_extremes():
