@@ -76,7 +76,7 @@ def default_parameters(k: int, l: int) -> AbsorbingParameters:
 
 
 def _matching_in(H: Hypergraph, X, t: int) -> tuple:
-    """First t edges of H[X]'s max_matching witness in host labels; () if nu < t."""
+    """First t edges of the lex-least maximum matching of H[X], in host labels; () if nu < t."""
     sub = induced(H, X)
     witness = max_matching(sub.graph).witness
     return sub.lift_edges(witness[:t]) if len(witness) >= t else ()

@@ -453,7 +453,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="hypermatch", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="seed for randomized steps")
-    common.add_argument("--force", action="store_true", help="turn size guards into warnings")
+    force_help = "lift the berge and exhaustive-closest size guards; fdense scans all sets"
+    common.add_argument("--force", action="store_true", help=force_help)
     common.add_argument("--format", choices=("json", "csv"), default="json")
 
     sub = parser.add_subparsers(dest="command", required=True)

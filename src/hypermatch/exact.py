@@ -3,9 +3,9 @@
 These are the oracles every property suite trusts, so the branch orders are
 fixed and documented:
 
-* max_matching branches on the least uncovered vertex, tries its edges in
-  lexicographic order, then the branch that leaves the vertex uncovered; the
-  first maximum reached in that depth-first order is the returned witness.
+* max_matching tries, at the least live vertex, the edges that start there
+  in lexicographic order, then leaves the vertex uncovered for good; the
+  witness is the lexicographically least maximum matching.
 * independence_number adds vertices in index order, include branch first,
   pruning a vertex whose inclusion completes an edge.
 * berge_deficiency scans cut sets W by increasing size, lexicographic within
@@ -68,41 +68,40 @@ def greedy_matching(H: Hypergraph) -> tuple:
 
 
 def max_matching(H: Hypergraph) -> MatchingResult:
-    """Exact maximum matching with the documented deterministic witness."""
-    n, k = H.n, H.k
-    edges, masks = H.edges, H.edge_masks
-    edges_at = [[] for _ in range(n)]
-    for idx, e in enumerate(edges):
-        for v in e:
-            edges_at[v].append(idx)
-    suffix = [((1 << n) - 1) >> v << v for v in range(n + 1)]
+    """Exact maximum matching; the witness is the lexicographically least one.
 
-    best_size = len(greedy_matching(H)) - 1  # prune bound only; witness comes from the search
+    A search node is a dead mask: covered vertices and those left uncovered
+    for good. At the least live vertex v it tries the edges that start at v
+    and avoid the dead set, in lex order, then kills v. Each matching has one
+    path, and where two paths part the one taking an edge, or the lex-smaller
+    edge, comes first; so among matchings of one size, preorder is lex order.
+    Pruning cuts only subtrees whose bound is at most the best size so far,
+    never the first maximum in preorder. Recursion depth is nu + 1.
+    """
+    k = H.k
+    full = (1 << H.n) - 1
+    starts_at = [[] for _ in range(H.n)]
+    for e, m in zip(H.edges, H.edge_masks):
+        starts_at[e[0]].append((e, m))
+
     best: list = []
     cur: list = []
 
-    def dfs(v: int, covered: int):
-        nonlocal best_size, best
-        while v < n and covered >> v & 1:
-            v += 1
-        if len(cur) > best_size:
-            best_size = len(cur)
+    def dfs(dead: int):
+        nonlocal best
+        if len(cur) > len(best):
             best = list(cur)
-        if v >= n:
-            return
-        free = suffix[v] & ~covered
-        if len(cur) + free.bit_count() // k <= best_size:
-            return
-        for idx in edges_at[v]:
-            m = masks[idx]
-            if m & covered:
-                continue
-            cur.append(edges[idx])
-            dfs(v + 1, covered | m)
-            cur.pop()
-        dfs(v + 1, covered)  # v stays uncovered
+        while len(cur) + (full & ~dead).bit_count() // k > len(best):
+            live = full & ~dead
+            v = (live & -live).bit_length() - 1
+            for e, m in starts_at[v]:
+                if not m & dead:
+                    cur.append(e)
+                    dfs(dead | m)
+                    cur.pop()
+            dead |= 1 << v  # v stays uncovered for good
 
-    dfs(0, 0)
+    dfs(0)
     witness = tuple(best)
     return MatchingResult(len(witness), witness)
 

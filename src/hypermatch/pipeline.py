@@ -245,26 +245,23 @@ class PipelineResult:
     diagnostics: dict
 
 
-def certify_copies(H: Hypergraph, sample: RoundOneSample, eps: Fraction | None) -> tuple:
+def certify_copies(H: Hypergraph, sample: RoundOneSample, eps: Fraction) -> tuple:
     """Per-copy certificates: exact independence gate, then fractional check.
 
     A copy survives when alpha(H[R]) <= (1 - 1/k - eps/5) * |R| and the
     induced subgraph has a perfect fractional matching. Returns (fracs,
     diagnostics) where fracs[i] is a host-labeled weight map or None.
-    eps=None disables the independence gate, for degenerate hosts whose
-    global structure already certifies the copies.
     """
-    gate_cut = None if eps is None else 1 - Fraction(1, H.k) - Fraction(eps) / 5
+    gate_cut = 1 - Fraction(1, H.k) - Fraction(eps) / 5
     fracs = []
     skipped = []
     for i, copy in enumerate(sample.copies):
         sub = induced(H, copy)
-        if gate_cut is not None:
-            alpha = independence_number(sub.graph).size
-            if alpha > gate_cut * len(copy):
-                fracs.append(None)
-                skipped.append((i, "independence", alpha))
-                continue
+        alpha = independence_number(sub.graph).size
+        if alpha > gate_cut * len(copy):
+            fracs.append(None)
+            skipped.append((i, "independence", alpha))
+            continue
         sol = fractional_optimum(sub.graph)
         if sol.nu_star != Fraction(len(copy), H.k):
             fracs.append(None)
@@ -275,7 +272,7 @@ def certify_copies(H: Hypergraph, sample: RoundOneSample, eps: Fraction | None) 
 
 
 def sparsify_stage(
-    H: Hypergraph, copies: int, p: Fraction, seed: int, eps: Fraction | None = Fraction(1, 2)
+    H: Hypergraph, copies: int, p: Fraction, seed: int, eps: Fraction = Fraction(1, 2)
 ) -> tuple:
     """Rounds one and two together; returns (spanning subgraph, diagnostics)."""
     sample = round1_sample(H, copies, p, seed)
@@ -301,7 +298,7 @@ def almost_perfect_pipeline(
     copies: int,
     p: Fraction,
     seed: int,
-    eps: Fraction | None = Fraction(1, 2),
+    eps: Fraction = Fraction(1, 2),
 ) -> PipelineResult:
     """Round 1, per-copy certificates, round 2, then the greedy matcher.
 

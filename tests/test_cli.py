@@ -59,6 +59,13 @@ class TestBasicCommands:
         assert code == 0 and rep["results"]["size"] == 1
         assert rep["results"]["witness"] == [[0, 1, 2]]
 
+    def test_nu_on_a_long_sparse_host(self, capsys, tmp_path):
+        # Recursion depth follows the matching number, not the vertex count.
+        path = tmp_path / "long.json"
+        save(Hypergraph(1500, 2, [(0, 1)]), path)
+        code, rep = run_json(capsys, "nu", str(path))
+        assert code == 0 and rep["results"]["size"] == 1
+
     def test_degrees(self, capsys, barrier_file):
         code, rep = run_json(capsys, "degrees", barrier_file, "--l", "2")
         assert rep["results"]["min_degree"] == 2

@@ -133,42 +133,64 @@ def test_berge_equals_matching_number(seed, n):
     assert (n - cert.odd_components + len(cert.vertex_set)) % 2 == 0
 
 
-def brute_matching_number(H):
-    # The largest r for which some r edges are pairwise disjoint.
-    best = 0
+def brute_max_matching(H):
+    # The lex-least maximum matching: combinations of the sorted edge list come
+    # in lexicographic order, so the first disjoint r-set is the least one.
+    best = ()
     for r in range(1, H.n // H.k + 1):
-        if not any(
-            all(a & b == 0 for a, b in combinations(masks, 2))
-            for masks in combinations(H.edge_masks, r)
-        ):
+        first = next(
+            (
+                M
+                for M in combinations(H.edges, r)
+                if all(not set(a) & set(b) for a, b in combinations(M, 2))
+            ),
+            None,
+        )
+        if first is None:
             break
-        best = r
+        best = first
     return best
 
 
-def brute_independence_number(H):
-    # The largest vertex set that contains no edge.
+def brute_max_independent_set(H):
+    # The lex-least largest vertex set that contains no edge.
     for size in range(H.n, -1, -1):
         for S in combinations(range(H.n), size):
             sm = sum(1 << v for v in S)
             if all(em & sm != em for em in H.edge_masks):
-                return size
-    return 0
+                return S
+    return ()
 
 
 @given(
     seed=seeds,
-    k=st.integers(3, 4),
+    k=st.integers(2, 4),
     n=st.integers(4, 10),
     p=st.sampled_from([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(9, 10)]),
 )
 def test_exact_solvers_match_brute_force(seed, k, n, p):
     H = random_hypergraph(n, k, p, seed)
-    nu, matching = max_matching(H)
-    assert nu == brute_matching_number(H)
-    assert len(matching) == nu and validate_matching(H, matching)
-    alpha, independent = independence_number(H)
-    assert alpha == brute_independence_number(H)
-    assert len(independent) == alpha and list(independent) == sorted(set(independent))
-    assert set(independent) <= set(range(n))
-    assert not any(set(e) <= set(independent) for e in H.edges)
+    M = brute_max_matching(H)
+    assert max_matching(H) == (len(M), M)
+    S = brute_max_independent_set(H)
+    assert independence_number(H) == (len(S), S)
+
+
+def test_graph_matching_number_matches_edmonds():
+    # Edmonds' blossom algorithm is an oracle for k = 2 beyond brute-force sizes.
+    nx = pytest.importorskip("networkx")
+    for seed in range(200):
+        n = 12 + seed % 11
+        H = random_hypergraph(n, 2, Fraction(1 + seed % 4, 8), seed)
+        G = nx.Graph()
+        G.add_nodes_from(range(n))
+        G.add_edges_from(H.edges)
+        blossom = nx.max_weight_matching(G, maxcardinality=True)
+        assert max_matching(H).size == len(blossom), seed
+
+
+def test_witness_is_lex_least_not_greedy():
+    # A lexicographic greedy scan takes (0, 1) and stops at size 1.
+    H = Hypergraph(4, 2, [(0, 1), (0, 3), (1, 2)])
+    assert brute_max_matching(H) == ((0, 3), (1, 2))
+    assert max_matching(H) == (2, ((0, 3), (1, 2)))

@@ -191,12 +191,6 @@ class TestPipeline:
         assert res.matching == ()
         assert res.uncovered_fraction == 1
 
-    def test_degenerate_matching_host_output_is_valid(self):
-        H = Hypergraph(9, 3, [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
-        res = almost_perfect_pipeline(H, 3, Fraction(1), seed=0, eps=None)
-        assert validate_matching(H, res.matching)
-        assert res.uncovered_count == 9 - 3 * len(res.matching)
-
     def test_gate_blocks_sparse_hosts(self):
         H = Hypergraph(9, 3, [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
         with pytest.raises(PipelineError):
