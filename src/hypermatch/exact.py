@@ -107,7 +107,11 @@ def max_matching(H: Hypergraph) -> MatchingResult:
 
 
 def independence_number(H: Hypergraph) -> IndependenceResult:
-    """Exact maximum independent set with the documented deterministic witness."""
+    """Exact maximum independent set with the documented deterministic witness.
+
+    The depth-first search keeps its own stack, so a host with many vertices
+    never meets Python's recursion limit.
+    """
     n = H.n
     # For each vertex v, the edges whose largest vertex is v: the only edges a
     # prefix-built set can complete when v joins.
@@ -115,26 +119,22 @@ def independence_number(H: Hypergraph) -> IndependenceResult:
     for e, em in zip(H.edges, H.edge_masks):
         by_max[e[-1]].append(em)
 
-    best_size = -1
-    best: list = []
-    cur: list = []
-
-    def dfs(v: int, chosen: int):
-        nonlocal best_size, best
-        if len(cur) > best_size:
-            best_size = len(cur)
-            best = list(cur)
-        if v >= n or len(cur) + (n - v) <= best_size:
-            return
+    # A node is (next vertex, chosen mask, its size); the exclude child is
+    # pushed under the include child, so nodes pop in the recursive preorder.
+    best_size, best = -1, 0
+    stack = [(0, 0, 0)]
+    while stack:
+        v, chosen, size = stack.pop()
+        if size > best_size:
+            best_size, best = size, chosen
+        if v >= n or size + (n - v) <= best_size:
+            continue
+        stack.append((v + 1, chosen, size))
         cm = chosen | (1 << v)
         if all(em & cm != em for em in by_max[v]):
-            cur.append(v)
-            dfs(v + 1, cm)
-            cur.pop()
-        dfs(v + 1, chosen)
-
-    dfs(0, 0)
-    return IndependenceResult(len(best), tuple(best))
+            stack.append((v + 1, cm, size + 1))
+    witness = tuple(v for v in range(n) if best >> v & 1)
+    return IndependenceResult(len(witness), witness)
 
 
 BERGE_MAX_N = 24

@@ -43,13 +43,16 @@ def splitmix64(x: int) -> int:
 class CounterRng:
     """Stateless keyed generator: each draw hashes (seed, *key)."""
 
-    __slots__ = ("seed",)
+    __slots__ = ("seed", "_root")
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
+        self._root = splitmix64(self.seed)
 
     def raw(self, *key: int) -> int:
-        h = splitmix64(self.seed)
+        """splitmix64 chained over the key parts from splitmix64(seed), which
+        is hashed once, at construction: one mixer step per key part."""
+        h = self._root
         for part in key:
             h = splitmix64(h ^ (int(part) & _MASK64))
         return h
@@ -99,9 +102,16 @@ def combination_unrank(n: int, k: int, rank: int) -> tuple:
 
 
 def bernoulli_subsets(n: int, k: int, p: Fraction, rng: CounterRng, tag: int):
-    """Yield each k-subset of range(n) kept with probability p, in lex order."""
+    """Yield each k-subset of range(n) kept with probability p, in lex order.
+
+    The index-th subset is kept iff rng.bernoulli(p, tag, index); the (seed,
+    tag) prefix is hashed once per stream, so each candidate costs one mixer
+    step and the same integer comparison.
+    """
+    prefix = rng.raw(tag)
+    num, den = p.numerator << 53, p.denominator
     for index, cand in enumerate(combinations(range(n), k)):
-        if rng.bernoulli(p, tag, index):
+        if (splitmix64(prefix ^ index) >> 11) * den < num:
             yield cand
 
 

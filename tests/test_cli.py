@@ -66,6 +66,14 @@ class TestBasicCommands:
         code, rep = run_json(capsys, "nu", str(path))
         assert code == 0 and rep["results"]["size"] == 1
 
+    def test_alpha_on_a_long_sparse_host(self, capsys, tmp_path):
+        # The independent-set search keeps its own stack, so depth is not bounded by recursion.
+        path = tmp_path / "long.json"
+        save(Hypergraph(1500, 2, [(0, 1)]), path)
+        code, rep = run_json(capsys, "alpha", str(path))
+        assert code == 0 and rep["results"]["size"] == 1499
+        assert rep["results"]["witness"] == [0] + list(range(2, 1500))
+
     def test_degrees(self, capsys, barrier_file):
         code, rep = run_json(capsys, "degrees", barrier_file, "--l", "2")
         assert rep["results"]["min_degree"] == 2

@@ -18,7 +18,8 @@ from hypermatch import (
     remove,
     to_json,
 )
-from hypermatch.rng import random_hypergraph
+from hypermatch.core import weakest_set
+from hypermatch.rng import CounterRng, random_hypergraph
 
 seeds = st.integers(0, 10**9)
 
@@ -27,6 +28,29 @@ def brute_degree(H, T):
     # Independent oracle: scan raw edge tuples with set containment.
     t = set(T)
     return sum(1 for e in H.edges if t <= set(e))
+
+
+def brute_induced(H, S):
+    # Independent oracle: keep the host edges inside S, relabel by rank in S.
+    inside = sorted(S)
+    rank = {v: i for i, v in enumerate(inside)}
+    return tuple(tuple(rank[v] for v in e) for e in H.edges if set(e) <= set(inside))
+
+
+def mask_scan_weakest_set(H, l):
+    # The l-degree minimizer as a mask scan of every edge for every l-set.
+    if l == 0:
+        return (), H.num_edges
+    masks = [sum(1 << v for v in e) for e in H.edges]
+    best_t, best_d = None, None
+    for t in combinations(range(H.n), l):
+        tm = sum(1 << v for v in t)
+        d = sum(1 for em in masks if em & tm == tm)
+        if best_d is None or d < best_d:
+            best_t, best_d = t, d
+            if d == 0:
+                break
+    return best_t, best_d
 
 
 class TestConstruction:
@@ -131,6 +155,44 @@ class TestSubgraphs:
         lifted = sub.lift_edges(sub.graph.edges)
         assert set(lifted) <= set(fano.edges)
         assert len(lifted) == sub.graph.num_edges
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_induced_and_remove_match_brute_force(k):
+    # Sets of every size, on sparse, dense and empty hosts, land on both sides
+    # of induced's route choice C(|S|, k) < e(H).
+    routes = set()
+    for seed in range(6):
+        rng = CounterRng(seed)
+        for n in (k - 1, k + 2, 11):
+            for p in (Fraction(0), Fraction(1, 10), Fraction(1, 2), Fraction(1)):
+                H = random_hypergraph(n, k, p, seed)
+                for size in range(n + 1):
+                    S = rng.sample(list(range(n)), size, n, size)
+                    rest = [v for v in range(n) if v not in S]
+                    routes.add(comb(size, k) < H.num_edges)
+                    sub = induced(H, S)
+                    assert sub.vertices == tuple(sorted(S)) and sub.graph.n == size
+                    assert sub.graph.edges == brute_induced(H, S)
+                    sub = remove(H, S)
+                    assert sub.vertices == tuple(rest) and sub.graph.n == n - size
+                    assert sub.graph.edges == brute_induced(H, rest)
+    assert routes == {True, False}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_weakest_set_matches_mask_scan(k):
+    zero_degree_seen = False
+    for seed in range(8):
+        for n in (k, k + 2, 9):
+            for p in (Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(1)):
+                H = random_hypergraph(n, k, p, seed)
+                for l in range(k + 1):
+                    T, d = weakest_set(H, l)
+                    assert (T, d) == mask_scan_weakest_set(H, l)
+                    assert d == brute_degree(H, T)
+                    zero_degree_seen |= d == 0 and l > 0
+    assert zero_degree_seen
 
 
 class TestSerialization:

@@ -85,6 +85,27 @@ def test_bernoulli_subsets_extremes():
     assert list(bernoulli_subsets(5, 2, Fraction(1), rng, 1)) == list(combinations(range(5), 2))
 
 
+def test_raw_chains_splitmix_from_the_seed():
+    mask = 2**64 - 1
+    for seed in (0, 7, mask, 2**64 + 5):
+        rng = CounterRng(seed)
+        for key in [(), (3,), (1, 2, 3), (2**64 + 1, 0)]:
+            h = splitmix64(seed & mask)
+            for part in key:
+                h = splitmix64(h ^ (part & mask))
+            assert rng.raw(*key) == h
+
+
+@pytest.mark.parametrize("seed", [0, 1, 901, 2**64 - 1])
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 3), Fraction(1)])
+def test_bernoulli_subsets_is_one_bernoulli_per_candidate(p, seed):
+    rng = CounterRng(seed)
+    for n, k in [(9, 3), (12, 2), (10, 4), (3, 5)]:
+        for tag in (1, 9):
+            expected = [c for i, c in enumerate(combinations(range(n), k)) if rng.bernoulli(p, tag, i)]
+            assert list(bernoulli_subsets(n, k, p, rng, tag)) == expected
+
+
 def test_random_hypergraph_is_reproducible():
     a = random_hypergraph(8, 3, Fraction(1, 2), 123)
     b = random_hypergraph(8, 3, Fraction(1, 2), 123)
