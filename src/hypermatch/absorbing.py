@@ -8,12 +8,13 @@ because every R (a probe or a set to absorb) is drawn from vertices outside
 the family.
 
 The family sampler draws every a*k-subset of the vertex set independently
-with probability rho * n / C(n, a*k) (clamped to one), then prunes: a
-lexicographic scan keeps each drawn set only if it is disjoint from all
-previously kept ones, and a second pass drops sets that do not span a
-matching. All randomness is counter-based, so a family is a pure function of
-(seed, n, k, a, rho). Admission certifies each member's a-matching, so the
-probe count tests only nu(H[R u Q]) >= a + 1 per probe R and member Q.
+with probability rho * n / C(n, a*k) (clamped to one), then prunes in one
+lexicographic scan: it skips each drawn set that meets an earlier disjoint
+one, and drops a disjoint set that does not span a matching (its vertices
+stay blocked). All randomness is counter-based, so a family is a pure
+function of (seed, n, k, a, rho). Admission certifies each member's
+a-matching, so the probe count tests only nu(H[R u Q]) >= a + 1 per probe R
+and member Q.
 """
 
 from __future__ import annotations
@@ -113,14 +114,17 @@ def sample_absorbing_family(
     draw count, before clamping and pruning), and it has no lower bound: a
     family may hold a single member or none.
 
-    Diagnostics record the raw draw count, how many sets each pruning pass
-    removed, and, over seeded probe sets R drawn from the uncovered vertices,
-    the smallest number of members Q with nu(H[R u Q]) >= a + 1 (admission
-    already certified each member's a-matching).
+    Diagnostics record the raw draw count, how many drawn sets pruning removed
+    for meeting an earlier one and for spanning no a-matching, and, over
+    seeded probe sets R drawn from the uncovered vertices, the smallest number
+    of members Q with nu(H[R u Q]) >= a + 1 (admission already certified each
+    member's a-matching).
     """
     rho = Fraction(rho)
     if not 0 < rho < 1:
         raise DomainError("rho must lie strictly between 0 and 1")
+    if probes < 0:
+        raise DomainError(f"probes must be non-negative, got {probes}")
     if params.k != H.k:
         raise DomainError(f"session k={params.k} does not match hypergraph k={H.k}")
     n, qk = H.n, params.q_size
@@ -135,21 +139,16 @@ def sample_absorbing_family(
     rng = CounterRng(seed)
     raw = list(bernoulli_subsets(n, qk, p, rng, TAG_FAMILY))
 
-    disjoint = []
+    members = []
+    matchings = []
     used = 0
-    dropped_intersecting = 0
+    dropped_intersecting = dropped_unmatchable = 0
     for cand in raw:
         m = _mask(cand)
         if m & used:
             dropped_intersecting += 1
-        else:
-            used |= m
-            disjoint.append(cand)
-
-    members = []
-    matchings = []
-    dropped_unmatchable = 0
-    for cand in disjoint:
+            continue
+        used |= m
         mm = _matching_in(H, cand, params.a)
         if mm:
             members.append(cand)

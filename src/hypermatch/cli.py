@@ -14,6 +14,7 @@ float. Reports are data: rendering and plotting belong downstream.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -54,9 +55,18 @@ def _vertices(text: str) -> tuple:
         raise DomainError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _fields(value) -> dict:
+    """A result type's fields by name: a NamedTuple's or a dataclass's."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    return value._asdict()
+
+
 def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
+    if dataclasses.is_dataclass(value) or hasattr(value, "_asdict"):
+        return _jsonable(_fields(value))
     if isinstance(value, dict):
         return {str(_jsonable(k)): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
@@ -70,8 +80,8 @@ def _flatten_pairs(obj):
 
     def walk(value, path):
         if isinstance(value, dict) and value:
-            for k, v in value.items():
-                walk(v, f"{path}.{k}" if path else str(k))
+            for k in sorted(value):
+                walk(value[k], f"{path}.{k}" if path else str(k))
         elif isinstance(value, list) and value:
             for i, v in enumerate(value):
                 walk(v, f"{path}.{i}" if path else str(i))
@@ -123,31 +133,17 @@ def cmd_construct(args):
 
 
 def cmd_nu(args):
-    res = max_matching(core.load(args.file))
-    return {
-        "claim": "maximum-matching",
-        "results": {"size": res.size, "witness": res.witness},
-    }
+    return {"claim": "maximum-matching", "results": max_matching(core.load(args.file))}
 
 
 def cmd_alpha(args):
-    res = independence_number(core.load(args.file))
-    return {
-        "claim": "maximum-independent-set",
-        "results": {"size": res.size, "witness": res.witness},
-    }
+    H = core.load(args.file)
+    return {"claim": "maximum-independent-set", "results": independence_number(H)}
 
 
 def cmd_berge(args):
-    cert = berge_deficiency(core.load(args.file), force=args.force)
-    return {
-        "claim": "deficiency-formula",
-        "results": {
-            "value": cert.value,
-            "vertex_set": cert.vertex_set,
-            "odd_components": cert.odd_components,
-        },
-    }
+    H = core.load(args.file)
+    return {"claim": "deficiency-formula", "results": berge_deficiency(H, force=args.force)}
 
 
 def cmd_degrees(args):
@@ -196,11 +192,7 @@ def cmd_stable_complete(args):
 
 
 def cmd_stable_check(args):
-    res = stability.is_stable(core.load(args.file))
-    return {
-        "claim": "downward-closedness",
-        "results": {"stable": res.stable, "witness": res.witness},
-    }
+    return {"claim": "downward-closedness", "results": stability.is_stable(core.load(args.file))}
 
 
 def cmd_shadow(args):
@@ -211,56 +203,40 @@ def cmd_shadow(args):
 def cmd_closeness(args):
     H = core.load(args.file)
     w = _vertices(args.w) if args.w is not None else tuple(range(args.m))
-    report = closeness.barrier_deficit(H, args.m, args.s, w)
-    results = {
-        "deficit": report.deficit,
-        "epsilon_effective": report.epsilon_effective,
-        "per_vertex_deficits": report.per_vertex_deficits,
-    }
+    results = closeness.barrier_deficit(H, args.m, args.s, w)
     if args.alpha is not None:
         good = closeness.classify_good(H, args.m, args.s, w, args.alpha)
-        results["goodness"] = {
-            "alpha": good.alpha,
-            "good": good.good,
-            "bad": good.bad,
-            "bad_bound": good.bad_bound,
-            "bad_bound_holds": good.bad_bound_holds,
-        }
+        results = {**_fields(results), "goodness": good}
     return {"claim": "barrier-closeness", "results": results}
 
 
 def cmd_closest(args):
     H = core.load(args.file)
-    w, deficit = closeness.closest_partition(
-        H, args.m, args.s, local=args.local, seed=args.seed or 0, force=args.force
-    )
+    seed = args.seed or 0
+    w, deficit = closeness.closest_partition(H, args.m, args.s, seed=seed, force=args.force)
+    mode = "exhaustive" if closeness.exhaustive(H.n, args.force) else "local-search-heuristic"
     return {
         "claim": "closest-barrier-partition",
-        "results": {
-            "w_best": w,
-            "deficit": deficit,
-            "mode": "local-search-heuristic" if args.local else "exhaustive",
-        },
+        "results": {"w_best": w, "deficit": deficit, "mode": mode},
     }
 
 
 def cmd_fdense(args):
     H = core.load(args.file)
     dense, witness = closeness.f_density_check(H, args.eps, force=args.force, seed=args.seed or 0)
+    mode = "exhaustive" if closeness.exhaustive(H.n, args.force) else "sampled"
     return {
         "claim": "large-set-density",
-        "results": {"dense": dense, "witness": witness},
+        "results": {"dense": dense, "witness": witness, "mode": mode},
     }
 
 
 def cmd_absorb(args):
-    if args.probes < 0:
-        raise DomainError(f"--probes must be non-negative, got {args.probes}")
     H = core.load(args.file)
     params = AbsorbingParameters(H.k, args.l, args.a, args.h)
     family = sample_absorbing_family(H, params, args.rho, args.seed or 0, probes=args.probes)
     results = {
-        "parameters": {"a": params.a, "h": params.h, "l": params.l, "k": params.k},
+        "parameters": params,
         "family_size": len(family.members),
         "members": family.members,
         "matching": family.matching,
@@ -453,7 +429,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="hypermatch", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="seed for randomized steps")
-    force_help = "lift the berge and exhaustive-closest size guards; fdense scans all sets"
+    force_help = "lift the berge size guard; closest and fdense scan every candidate set"
     common.add_argument("--force", action="store_true", help=force_help)
     common.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -501,7 +477,6 @@ def build_parser() -> _Parser:
     p = file_command("closest", cmd_closest)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--local", action="store_true")
 
     p = file_command("fdense", cmd_fdense)
     p.add_argument("--eps", type=_fraction, required=True)

@@ -16,13 +16,17 @@ from math import ceil, factorial
 
 from .constructions import barrier_edges, space_barrier_edge_count
 from .core import Hypergraph, _mask, vertex_subset
-from .errors import DomainError, SizeLimitError
+from .errors import DomainError
 from .rng import TAG_SEARCH, TAG_SET_SAMPLE, CounterRng
 
-CLOSEST_MAX_N = 16
+CLOSEST_MAX_N = 16  # largest n both searches scan exhaustively without force
 CLOSEST_RESTARTS = 5  # seeded starts of the local-search mode
-DENSITY_MAX_N = 16
 DENSITY_TRIALS = 2000  # seeded candidate sets of the sampled mode
+
+
+def exhaustive(n: int, force: bool) -> bool:
+    """Whether closest_partition and f_density_check scan every candidate set on n vertices."""
+    return n <= CLOSEST_MAX_N or force
 
 
 @dataclass(frozen=True)
@@ -90,29 +94,22 @@ def closest_partition(
     H: Hypergraph,
     m: int,
     s: int,
-    local: bool = False,
     seed: int = 0,
     force: bool = False,
 ) -> tuple:
     """W of size m minimizing the barrier deficit, with the deficit.
 
-    Exhaustive scan over all C(n, m) candidates (ties broken to the
-    lexicographically least W) for n <= 16; beyond that the caller must pick
-    the seeded local-search mode, a first-improvement swap heuristic (it takes
-    the first swap, in scan order, that lowers the deficit) with restarts that
-    carries no optimality guarantee.
+    When exhaustive(n, force), a scan over all C(n, m) candidates (ties broken
+    to the lexicographically least W); otherwise a seeded first-improvement
+    swap heuristic (it takes the first swap, in scan order, that lowers the
+    deficit) with restarts, which carries no optimality guarantee.
     """
     if not 0 <= m <= H.n:
         raise DomainError(f"need 0 <= m <= n, got m={m}")
     if not 1 <= s <= H.k:
         raise DomainError(f"need 1 <= s <= k, got s={s}")
     barrier_total = space_barrier_edge_count(H.n, H.k, s, m)
-    if not local:
-        if H.n > CLOSEST_MAX_N and not force:
-            raise SizeLimitError(
-                f"exhaustive closest_partition enforces n <= {CLOSEST_MAX_N}; "
-                "pass local=True for the heuristic mode"
-            )
+    if exhaustive(H.n, force):
         best_w, best_d = None, None
         for w in combinations(range(H.n), m):
             d = _deficit_of(H, s, _mask(w), barrier_total)
@@ -159,8 +156,9 @@ def f_density_check(
     Large means |A| >= (1 - 1/k - eps/4) * n and the required share is
     eps / (2 * k!) of e(H). Induced edge counts only drop when A shrinks, so
     the exhaustive scan checks just the smallest qualifying size; it returns
-    (dense, witness) with a violating A as witness when one exists. Above the
-    exhaustive limit a seeded sample of candidate sets is scanned instead.
+    (dense, witness) with a violating A as witness when one exists. Unless
+    exhaustive(n, force), a seeded sample of candidate sets is scanned instead,
+    so a dense verdict is then no certificate.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -174,7 +172,7 @@ def f_density_check(
     def induced_count(am: int) -> int:
         return sum(1 for em in masks if em & am == em)
 
-    if n <= DENSITY_MAX_N or force:
+    if exhaustive(n, force):
         for a in combinations(range(n), size):
             if induced_count(_mask(a)) < need:
                 return False, a

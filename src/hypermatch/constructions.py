@@ -71,7 +71,7 @@ def threshold_formula(n: int, k: int, l: int, m: int) -> int:
 
 def build_parity(na: int, nb: int, k: int) -> Hypergraph:
     """k-sets f of A u B whose |f n A| differs in parity from |A|; A is first."""
-    if na < 0 or nb < 0 or na + nb < k:
+    if k < 1 or na < 0 or nb < 0 or na + nb < k:
         raise DomainError(f"need na+nb >= k >= 1, got na={na}, nb={nb}, k={k}")
     n = na + nb
     edges = []

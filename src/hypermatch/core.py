@@ -93,6 +93,8 @@ class Hypergraph:
 
 
 def complete_hypergraph(n: int, k: int) -> Hypergraph:
+    if type(k) is not int or k < 1:
+        raise DomainError(f"uniformity must be a positive integer, got {k!r}")
     return Hypergraph(n, k, combinations(range(n), k))
 
 

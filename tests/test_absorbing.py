@@ -125,6 +125,10 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample_absorbing_family(complete_hypergraph(8, 2), PARAMS32, Fraction(1, 4), 0)
 
+    def test_negative_probe_count_rejected(self):
+        with pytest.raises(DomainError, match="probes"):
+            sample_absorbing_family(complete_hypergraph(8, 3), PARAMS32, Fraction(1, 4), 0, probes=-1)
+
     def test_rho_range_enforced(self):
         with pytest.raises(DomainError):
             sample_absorbing_family(complete_hypergraph(8, 3), PARAMS32, Fraction(1), 0)

@@ -7,6 +7,7 @@ import pytest
 from hypermatch import (
     Hypergraph,
     build_space_barrier,
+    build_space_barrier_at,
     complete_hypergraph,
     f_density_check,
     is_stable,
@@ -124,7 +125,7 @@ class TestBasicCommands:
         save(Hypergraph(7, 3, [(0, 1, 2), (2, 3, 4)]), path)
         code, rep = run_json(capsys, "fdense", str(path), "--eps", "4")
         assert code == 0
-        assert rep["results"] == {"dense": False, "witness": []}
+        assert rep["results"] == {"dense": False, "witness": [], "mode": "exhaustive"}
 
     def test_fdense_sampled_mode_uses_seed(self, capsys, tmp_path):
         # n = 18 is above the exhaustive limit, so candidate sets are drawn.
@@ -133,10 +134,29 @@ class TestBasicCommands:
         save(H, path)
         code, rep = run_json(capsys, "fdense", str(path), "--eps", "1/2", "--seed", "5")
         assert code == 0 and rep["seed"] == 5
+        assert rep["results"]["mode"] == "sampled"
         dense, witness = f_density_check(H, Fraction(1, 2), seed=5)
         assert dense is False and rep["results"]["dense"] is False
         assert rep["results"]["witness"] == list(witness)
         assert witness != f_density_check(H, Fraction(1, 2), seed=0)[1]
+
+    def test_fdense_force_scans_every_set_above_the_limit(self, capsys, tmp_path):
+        path = tmp_path / "k17.json"
+        save(complete_hypergraph(17, 2), path)
+        code, rep = run_json(capsys, "fdense", str(path), "--eps", "1/2")
+        assert code == 0 and rep["results"] == {"dense": True, "witness": None, "mode": "sampled"}
+        code, rep = run_json(capsys, "fdense", str(path), "--eps", "1/2", "--force")
+        assert code == 0 and rep["results"] == {"dense": True, "witness": None, "mode": "exhaustive"}
+
+    def test_closest_above_the_limit_searches_locally_unless_forced(self, capsys, tmp_path):
+        path = tmp_path / "barrier17.json"
+        save(build_space_barrier_at(17, 3, 3, (4, 9)), path)
+        code, rep = run_json(capsys, "closest", str(path), "--m", "2", "--s", "3", "--seed", "3")
+        assert code == 0 and rep["results"]["mode"] == "local-search-heuristic"
+        assert rep["results"]["deficit"] >= 0  # a labelled heuristic value, not certified
+        code, rep = run_json(capsys, "closest", str(path), "--m", "2", "--s", "3", "--force")
+        assert code == 0
+        assert rep["results"] == {"w_best": [4, 9], "deficit": 0, "mode": "exhaustive"}
 
     def test_absorb_and_round1_and_pipeline(self, capsys, tmp_path):
         path = tmp_path / "k12.json"
@@ -301,6 +321,12 @@ class TestErrorSurface:
             pytest.param(None, ["verify", "--suite", "stability2", "--rho", "0"], None, id="stability2-rho-zero"),
             pytest.param(None, ["verify", "--suite", "stability2", "--n", "2"], None, id="stability2-n-below-three"),
             pytest.param(None, ["verify", "--suite", "katona", "--trials", "-3"], None, id="negative-trials"),
+            pytest.param(
+                None,
+                ["construct", "--family", "parity", "--k", "-1", "--na", "4", "--nb", "3", "-o", "{dir}/x.json"],
+                None,
+                id="parity-negative-k",
+            ),
             pytest.param(
                 to_json(complete_hypergraph(9, 3)).encode(),
                 ["absorb", "{file}", "--l", "2", "--a", "1", "--h", "2", "--rho", "1/5", "--probes", "-4"],

@@ -2,8 +2,10 @@
 
 Whatever the flags hold, a run must end with a known exit code and a single
 JSON object on stdout; a nonzero exit carries a package error type. Hosts
-have n <= 8 and sweeps stop at n = 10, so no unguarded exponential solver
-sees a large input.
+have n <= 8 and the usual sweep and suite values stay at n <= 10, but a wild
+value can still reach an unguarded exponential solver: `--n-end 99` asks
+`sweep` for the barriers' matching numbers up to n = 99, and `--n 99` asks the
+stability2 suite for `max_matching` on 99-vertex graphs.
 """
 
 import io
@@ -77,7 +79,7 @@ COMMANDS = {
     "stable-check": ([files], {}, {}),
     "shadow": ([files], {}, {}),
     "closeness": ([files], m_and_s, {"--w": vertex_sets, "--alpha": one("1/10", "1/2")}),
-    "closest": ([files], m_and_s, {"--local": None}),
+    "closest": ([files], m_and_s, {}),
     "fdense": ([files], {"--eps": one("1/4", "1/2")}, {}),
     "absorb": (
         [files],

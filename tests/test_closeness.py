@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypermatch import (
     DomainError,
     Hypergraph,
-    SizeLimitError,
     barrier_deficit,
     build_space_barrier,
     build_space_barrier_at,
@@ -17,6 +16,7 @@ from hypermatch import (
     complete_hypergraph,
     f_density_check,
 )
+from hypermatch.closeness import exhaustive
 from hypermatch.core import induced
 from hypermatch.rng import random_hypergraph
 
@@ -81,16 +81,20 @@ class TestClosestPartition:
         H = build_space_barrier_at(8, 3, 3, (3, 7))
         assert closest_partition(H, 2, 3) == ((3, 7), 0)
 
-    def test_exhaustive_size_guard_and_local_fallback(self):
+    def test_above_the_limit_local_search_replaces_the_size_guard(self):
+        # One predicate picks the mode; no size guard is left to raise.
+        assert exhaustive(16, False) and exhaustive(17, True) and not exhaustive(17, False)
         H = build_space_barrier_at(17, 3, 3, (4, 9))
-        with pytest.raises(SizeLimitError):
-            closest_partition(H, 2, 3)
-        w, d = closest_partition(H, 2, 3, local=True, seed=3)
-        assert d >= 0  # heuristic result is labeled, not certified
+        assert closest_partition(H, 2, 3, seed=3) == ((4, 9), 0)
+        assert closest_partition(H, 2, 3, seed=3, force=True) == ((4, 9), 0)
 
-    def test_local_mode_finds_planted_cover_on_small_instance(self):
-        H = build_space_barrier_at(8, 3, 3, (3, 7))
-        assert closest_partition(H, 2, 3, local=True, seed=1) == ((3, 7), 0)
+    def test_local_search_runs_only_above_the_limit(self):
+        # Every W ties on a complete host: the exhaustive scan keeps the
+        # lex-least, the local search keeps the least of its seeded starts.
+        K17 = complete_hypergraph(17, 3)
+        assert closest_partition(K17, 2, 3, seed=1) == ((0, 4), 0)
+        assert closest_partition(K17, 2, 3, seed=1, force=True) == ((0, 1), 0)
+        assert closest_partition(complete_hypergraph(16, 3), 2, 3, seed=1) == ((0, 1), 0)
 
 
 class TestFDensity:

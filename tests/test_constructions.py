@@ -113,6 +113,9 @@ class TestParity:
     def test_too_small_rejected(self):
         with pytest.raises(DomainError):
             build_parity(1, 1, 3)
+        for k in (0, -1):
+            with pytest.raises(DomainError, match="k >= 1"):
+                build_parity(4, 3, k)
 
 
 class TestCliqueMinus:

@@ -75,6 +75,9 @@ class TestConstruction:
             Hypergraph(-1, 2, [])
         with pytest.raises(DomainError):
             Hypergraph(3, 0, [])
+        for k in (0, -1):
+            with pytest.raises(DomainError):
+                complete_hypergraph(5, k)
 
     def test_immutable(self):
         H = complete_hypergraph(4, 2)
