@@ -133,7 +133,8 @@ def cmd_construct(args):
 
 
 def cmd_nu(args):
-    return {"claim": "maximum-matching", "results": max_matching(core.load(args.file))}
+    H = core.load(args.file)
+    return {"claim": "maximum-matching", "results": max_matching(H, force=args.force)}
 
 
 def cmd_alpha(args):
@@ -429,7 +430,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="hypermatch", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="seed for randomized steps")
-    force_help = "lift the berge size guard; closest and fdense scan every candidate set"
+    force_help = (
+        "lift the berge size guard and nu's matching-search budget; "
+        "closest and fdense scan every candidate set"
+    )
     common.add_argument("--force", action="store_true", help=force_help)
     common.add_argument("--format", choices=("json", "csv"), default="json")
 

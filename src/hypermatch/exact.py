@@ -3,9 +3,15 @@
 These are the oracles every property suite trusts, so the branch orders are
 fixed and documented:
 
-* max_matching tries, at the least live vertex, the edges that start there
-  in lexicographic order, then leaves the vertex uncovered for good; the
-  witness is the lexicographically least maximum matching.
+* max_matching memoizes the matching number of the live vertices, keyed on
+  the dead mask (covered vertices plus those left uncovered for good), within
+  one call. At the least live vertex it tries the edges that start there in
+  lexicographic order, then leaves the vertex uncovered for good, and stops
+  once a state reaches min(live // k, live vertices at which an edge starts).
+  The witness is read back in that same order, so it is the
+  lexicographically least maximum matching. Recursion depth is nu + 1, and
+  the search stops with SizeLimitError after MATCHING_MAX_NODES evaluations
+  unless forced.
 * independence_number adds vertices in index order, include branch first,
   pruning a vertex whose inclusion completes an edge.
 * berge_deficiency scans cut sets W by increasing size, lexicographic within
@@ -20,6 +26,7 @@ tie-breaks; the implementations here are sequential.
 from __future__ import annotations
 
 from itertools import combinations
+from math import inf
 from typing import NamedTuple
 
 from .core import Hypergraph, _mask
@@ -67,43 +74,83 @@ def greedy_matching(H: Hypergraph) -> tuple:
     return tuple(out)
 
 
-def max_matching(H: Hypergraph) -> MatchingResult:
+MATCHING_MAX_NODES = 1 << 20  # child evaluations max_matching makes without force
+
+
+def max_matching(H: Hypergraph, force: bool = False) -> MatchingResult:
     """Exact maximum matching; the witness is the lexicographically least one.
 
-    A search node is a dead mask: covered vertices and those left uncovered
-    for good. At the least live vertex v it tries the edges that start at v
-    and avoid the dead set, in lex order, then kills v. Each matching has one
-    path, and where two paths part the one taking an edge, or the lex-smaller
-    edge, comes first; so among matchings of one size, preorder is lex order.
-    Pruning cuts only subtrees whose bound is at most the best size so far,
-    never the first maximum in preorder. Recursion depth is nu + 1.
+    A search state is a dead mask: covered vertices and those left uncovered
+    for good. nu(dead) walks the skip chain: at the least live vertex v it
+    takes 1 + nu(dead | e) for each edge e that starts at v and avoids the
+    dead set, in lex order, then kills v. A state stops once its best reaches
+    min(live // k, live vertices at which an edge starts), since every
+    matching edge has its own least vertex. Exact values are memoized per
+    call on the dead mask, and only a taken edge recurses, so the depth is
+    nu + 1.
+
+    The witness is read back from the root: take the first edge, in chain
+    order then lex order, whose child reaches the state's value, and repeat
+    in that child. Each matching has one path, and where two paths part the
+    one taking an edge, or the lex-smaller edge, comes first; so among
+    matchings of one size, preorder is lex order, and the first child that
+    reaches the optimum holds the lex-least maximum matching.
+
+    Every nu call, memo hits included, counts against MATCHING_MAX_NODES;
+    past it SizeLimitError is raised unless force is set.
     """
     k = H.k
     full = (1 << H.n) - 1
     starts_at = [[] for _ in range(H.n)]
+    starts = 0
     for e, m in zip(H.edges, H.edge_masks):
         starts_at[e[0]].append((e, m))
+        starts |= 1 << e[0]
+    limit = inf if force else MATCHING_MAX_NODES
+    memo: dict = {}
+    evaluations = 0
 
-    best: list = []
-    cur: list = []
-
-    def dfs(dead: int):
-        nonlocal best
-        if len(cur) > len(best):
-            best = list(cur)
-        while len(cur) + (full & ~dead).bit_count() // k > len(best):
-            live = full & ~dead
+    def nu(dead: int) -> int:
+        nonlocal evaluations
+        evaluations += 1
+        if evaluations > limit:
+            raise SizeLimitError(
+                f"max_matching enforces at most {limit} search evaluations; "
+                f"n={H.n}, e={H.num_edges}"
+            )
+        if dead in memo:
+            return memo[dead]
+        best, d = 0, dead
+        while True:
+            live = full & ~d
+            bound = min(live.bit_count() // k, (starts & live).bit_count())
+            if best >= bound:
+                break
             v = (live & -live).bit_length() - 1
             for e, m in starts_at[v]:
-                if not m & dead:
-                    cur.append(e)
-                    dfs(dead | m)
-                    cur.pop()
-            dead |= 1 << v  # v stays uncovered for good
+                if not m & d:
+                    got = 1 + nu(d | m)
+                    if got > best:
+                        best = got
+                        if best >= bound:
+                            break
+            d |= 1 << v  # v stays uncovered for good
+        memo[dead] = best
+        return best
 
-    dfs(0)
-    witness = tuple(best)
-    return MatchingResult(len(witness), witness)
+    witness = []
+    need, d = nu(0), 0
+    while need:
+        live = full & ~d
+        v = (live & -live).bit_length() - 1
+        for e, m in starts_at[v]:
+            if not m & d and 1 + nu(d | m) == need:
+                witness.append(e)
+                need, d = need - 1, d | m
+                break
+        else:
+            d |= 1 << v
+    return MatchingResult(len(witness), tuple(witness))
 
 
 def independence_number(H: Hypergraph) -> IndependenceResult:

@@ -117,5 +117,7 @@ def bernoulli_subsets(n: int, k: int, p: Fraction, rng: CounterRng, tag: int):
 
 def random_hypergraph(n: int, k: int, p: Fraction, seed: int) -> Hypergraph:
     """Seeded Erdos-Renyi style k-graph: every k-set kept with probability p."""
+    if k < 1:
+        raise DomainError(f"need k >= 1, got k={k}")
     rng = CounterRng(seed)
     return Hypergraph(n, k, list(bernoulli_subsets(n, k, p, rng, TAG_EDGE_SAMPLE)))

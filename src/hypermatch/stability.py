@@ -147,8 +147,8 @@ def random_stable_hypergraph(n: int, k: int, seed: int, generator_count: int = 3
     Every stable hypergraph is the closure of its maximal edges, so this fuzz
     distribution reaches all of them.
     """
-    if k > n:
-        raise DomainError(f"need k <= n, got n={n}, k={k}")
+    if not 1 <= k <= n:
+        raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
     rng = CounterRng(seed)
     total = comb(n, k)
     gens = [

@@ -15,6 +15,7 @@ from hypermatch import (
     save,
     to_json,
 )
+from hypermatch import exact
 from hypermatch.cli import main
 
 
@@ -376,6 +377,50 @@ class TestErrorSurface:
         assert "outside" not in rep["error"]["message"]
         if message is not None:
             assert rep["error"]["message"] == message
+
+
+class TestMatchingBudget:
+    # Hosts on which the unmemoized branch-and-bound search ran for seconds to
+    # minutes; the default budget makes each a deterministic work bound.
+
+    @pytest.mark.parametrize("small_first", [True, False], ids=["5-side-first", "19-side-first"])
+    def test_nu_on_k_5_19(self, capsys, tmp_path, small_first):
+        small, big = (range(5), range(5, 24)) if small_first else (range(19, 24), range(19))
+        path = tmp_path / "k5_19.json"
+        save(Hypergraph(24, 2, [tuple(sorted((a, b))) for a in small for b in big]), path)
+        code, rep = run_json(capsys, "nu", str(path))
+        assert code == 0 and rep["results"]["size"] == 5
+        first = [[v, 5 + v] for v in range(5)] if small_first else [[v, 19 + v] for v in range(5)]
+        assert rep["results"]["witness"] == first
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--k", "3", "--l", "2", "--n-start", "18", "--n-end", "18"],
+            ["verify", "--suite", "stability2", "--n", "20", "--trials", "20"],
+        ],
+        ids=["sweep-n18", "stability2-n20"],
+    )
+    def test_former_runaways_return(self, capsys, argv):
+        code, rep = run_json(capsys, *argv)
+        assert code == 0 and rep["command"] == argv[0]
+
+    def test_dense_barrier_exceeds_the_budget(self, capsys, tmp_path):
+        path = tmp_path / "h4.json"
+        save(build_space_barrier(30, 4, 4, 7), path)
+        code, rep = run_json(capsys, "nu", str(path))
+        assert code == 2 and rep["error"]["type"] == "SizeLimitError"
+        assert "search evaluations" in rep["error"]["message"]
+
+    def test_force_lifts_the_budget_for_nu_only(self, capsys, barrier_file, monkeypatch):
+        monkeypatch.setattr(exact, "MATCHING_MAX_NODES", 2)
+        code, rep = run_json(capsys, "nu", barrier_file)
+        assert code == 2 and rep["error"]["type"] == "SizeLimitError"
+        code, rep = run_json(capsys, "nu", barrier_file, "--force")
+        assert code == 0 and rep["results"]["size"] == 2
+        sweep = ["sweep", "--k", "3", "--l", "2", "--n-start", "9", "--n-end", "9", "--force"]
+        code, rep = run_json(capsys, *sweep)
+        assert code == 2 and rep["error"]["type"] == "SizeLimitError"
 
 
 class TestReportDiscipline:

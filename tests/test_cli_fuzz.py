@@ -2,10 +2,12 @@
 
 Whatever the flags hold, a run must end with a known exit code and a single
 JSON object on stdout; a nonzero exit carries a package error type. Hosts
-have n <= 8 and the usual sweep and suite values stay at n <= 10, but a wild
-value can still reach an unguarded exponential solver: `--n-end 99` asks
-`sweep` for the barriers' matching numbers up to n = 99, and `--n 99` asks the
-stability2 suite for `max_matching` on 99-vertex graphs.
+have n <= 8 and the usual sweep and suite values stay at n <= 10. A wild
+`--n-end` or `--n` (`--n-end 99` asks `sweep` for the barriers' matching
+numbers up to n = 99, `--n 99` asks the stability2 suite for `max_matching`
+on 99-vertex graphs) ends in a `SizeLimitError` once the matching search
+passes its work budget, instead of reaching an unguarded solver. Building the
+C(n, k) edge sets of a 6-digit n is not guarded.
 """
 
 import io

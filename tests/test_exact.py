@@ -10,6 +10,7 @@ from hypermatch import (
     Hypergraph,
     SizeLimitError,
     berge_deficiency,
+    build_parity,
     build_space_barrier,
     complete_hypergraph,
     independence_number,
@@ -17,7 +18,10 @@ from hypermatch import (
     remove,
     validate_matching,
 )
+from hypermatch import exact
+from hypermatch.exact import MatchingResult
 from hypermatch.rng import random_hypergraph
+from hypermatch.stability import random_stable_hypergraph
 
 seeds = st.integers(0, 10**9)
 
@@ -43,6 +47,14 @@ class TestMaxMatching:
 
     def test_empty(self):
         assert max_matching(Hypergraph(5, 2, [])) == (0, ())
+
+    def test_budget_raises_and_force_lifts_it(self, monkeypatch):
+        H = complete_hypergraph(9, 3)
+        expected = max_matching(H)
+        monkeypatch.setattr(exact, "MATCHING_MAX_NODES", 5)
+        with pytest.raises(SizeLimitError, match="at most 5 search evaluations"):
+            max_matching(H)
+        assert max_matching(H, force=True) == expected == (3, ((0, 1, 2), (3, 4, 5), (6, 7, 8)))
 
 
 class TestIndependenceNumber:
@@ -194,3 +206,64 @@ def test_witness_is_lex_least_not_greedy():
     H = Hypergraph(4, 2, [(0, 1), (0, 3), (1, 2)])
     assert brute_max_matching(H) == ((0, 3), (1, 2))
     assert max_matching(H) == (2, ((0, 3), (1, 2)))
+
+
+def bnb_max_matching(H):
+    # The branch-and-bound search the memoized matcher replaced, kept as an
+    # oracle: the same branch order, and the first maximum matching in
+    # preorder as its witness.
+    k = H.k
+    full = (1 << H.n) - 1
+    starts_at = [[] for _ in range(H.n)]
+    for e, m in zip(H.edges, H.edge_masks):
+        starts_at[e[0]].append((e, m))
+
+    best: list = []
+    cur: list = []
+
+    def dfs(dead: int):
+        nonlocal best
+        if len(cur) > len(best):
+            best = list(cur)
+        while len(cur) + (full & ~dead).bit_count() // k > len(best):
+            live = full & ~dead
+            v = (live & -live).bit_length() - 1
+            for e, m in starts_at[v]:
+                if not m & dead:
+                    cur.append(e)
+                    dfs(dead | m)
+                    cur.pop()
+            dead |= 1 << v
+
+    dfs(0)
+    return MatchingResult(len(best), tuple(best))
+
+
+# Host families for the oracle. n stops at 13 so the oracle stays quick: at
+# n = 15 the branch-and-bound search takes seconds per family.
+ORACLE_HOSTS = {
+    "space-barriers": lambda: [
+        build_space_barrier(n, k, s, m)
+        for k in range(2, 5)
+        for n in range(k, 14)
+        for s in range(1, k + 1)
+        for m in range(n + 1)
+    ],
+    "parity": lambda: [
+        build_parity(na, nb, 3) for na in range(14) for nb in range(14 - na) if na + nb >= 3
+    ],
+    "random": lambda: [
+        random_hypergraph(k + i % (14 - k), k, Fraction(1 + i % 9, 10), i)
+        for i in range(900)
+        for k in [2 + i % 3]
+    ],
+    "stable": lambda: [
+        random_stable_hypergraph(6 + i % 8, 2 + i % 2, i, 1 + i % 4) for i in range(300)
+    ],
+}
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_HOSTS))
+def test_memoized_search_matches_branch_and_bound(family):
+    for H in ORACLE_HOSTS[family]():
+        assert max_matching(H) == bnb_max_matching(H), H

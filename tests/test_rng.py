@@ -59,6 +59,12 @@ def test_combination_unrank_matches_lexicographic_order(n, k):
     assert ranked == list(combinations(range(n), k))
 
 
+@pytest.mark.parametrize("k", [-1, 0])
+def test_random_hypergraph_rejects_nonpositive_uniformity(k):
+    with pytest.raises(DomainError, match="k >= 1"):
+        random_hypergraph(5, k, Fraction(1, 2), 3)
+
+
 def test_combination_unrank_range_check():
     with pytest.raises(DomainError):
         combination_unrank(5, 2, comb(5, 2))

@@ -150,6 +150,12 @@ class TestClosureGenerator:
             downward_closure(4, 2, [(0, 5)])
 
 
+@pytest.mark.parametrize("n, k", [(5, -1), (5, 0), (3, 4)])
+def test_random_stable_hypergraph_rejects_bad_uniformity(n, k):
+    with pytest.raises(DomainError, match="1 <= k <= n"):
+        random_stable_hypergraph(n, k, 3)
+
+
 @given(seed=seeds, n=st.integers(4, 9), k=st.integers(2, 3))
 def test_random_stable_instances_pass_the_battery(seed, n, k):
     if k > n:
