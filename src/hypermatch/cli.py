@@ -118,13 +118,13 @@ def cmd_construct(args):
     if args.family == "space-barrier":
         if args.s is None or args.m is None:
             raise DomainError("space-barrier needs --s and --m")
-        H = constructions.build_space_barrier(args.n, args.k, args.s, args.m)
+        H = constructions.build_space_barrier(args.n, args.k, args.s, args.m, args.force)
     elif args.family == "parity":
         if args.na is None or args.nb is None:
             raise DomainError("parity needs --na and --nb")
-        H = constructions.build_parity(args.na, args.nb, args.k)
+        H = constructions.build_parity(args.na, args.nb, args.k, args.force)
     else:
-        H = constructions.build_clique_minus(args.n, args.k)
+        H = constructions.build_clique_minus(args.n, args.k, args.force)
     core.save(H, args.output)
     return {
         "claim": "extremal-construction",
@@ -179,7 +179,7 @@ def cmd_fractional(args):
 
 def cmd_stable_complete(args):
     H = core.load(args.file)
-    comp = fractional.stable_completion(H)
+    comp = fractional.stable_completion(H, args.force)
     core.save(comp.graph, args.output)
     return {
         "claim": "stable-completion",
@@ -431,8 +431,9 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="seed for randomized steps")
     force_help = (
-        "lift the berge size guard and nu's matching-search budget; "
-        "closest and fdense scan every candidate set"
+        "lift the berge size guard, nu's matching-search budget and the k-set "
+        "enumeration guard of construct and stable-complete; closest and fdense "
+        "scan every candidate set"
     )
     common.add_argument("--force", action="store_true", help=force_help)
     common.add_argument("--format", choices=("json", "csv"), default="json")

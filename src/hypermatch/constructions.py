@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .core import Hypergraph
+from .core import Hypergraph, check_enumeration
 from .errors import DomainError
 
 
@@ -34,15 +34,19 @@ def barrier_edges(n: int, k: int, s: int, W) -> list:
     return out
 
 
-def build_space_barrier(n: int, k: int, s: int, m: int) -> Hypergraph:
+def build_space_barrier(n: int, k: int, s: int, m: int, force: bool = False) -> Hypergraph:
     """The partition family with W = {0, .., m-1} and edges meeting W in [1, s]."""
     if not 0 <= m <= n:
         raise DomainError(f"need 0 <= m <= n, got m={m}, n={n}")
-    return build_space_barrier_at(n, k, s, range(m))
+    return build_space_barrier_at(n, k, s, range(m), force)
 
 
-def build_space_barrier_at(n: int, k: int, s: int, W) -> Hypergraph:
-    """Same family with an arbitrary cover side W; U is the complement of W."""
+def build_space_barrier_at(n: int, k: int, s: int, W, force: bool = False) -> Hypergraph:
+    """Same family with an arbitrary cover side W; U is the complement of W.
+
+    Like every generator here, it enumerates the k-subsets of range(n) in lex
+    order, so its edges are canonical and it uses the trusted constructor.
+    """
     if not 1 <= s <= k:
         raise DomainError(f"need 1 <= s <= k, got s={s}, k={k}")
     if k > n:
@@ -51,8 +55,9 @@ def build_space_barrier_at(n: int, k: int, s: int, W) -> Hypergraph:
     w = tuple(sorted(W))
     if len(set(w)) != len(w) or (w and (w[0] < 0 or w[-1] >= n)):
         raise DomainError(f"W={list(W)} is not a vertex subset of 0..{n - 1}")
+    check_enumeration(n, k, force)
     name = f"H^{s}_{k}(n={n},|W|={len(w)})"
-    return Hypergraph(n, k, barrier_edges(n, k, s, w), name=name)
+    return Hypergraph._canonical(n, k, barrier_edges(n, k, s, w), name=name)
 
 
 def space_barrier_edge_count(n: int, k: int, s: int, m: int) -> int:
@@ -69,25 +74,27 @@ def threshold_formula(n: int, k: int, l: int, m: int) -> int:
     return comb0(n - l, k - l) - comb0(n - l - m, k - l)
 
 
-def build_parity(na: int, nb: int, k: int) -> Hypergraph:
+def build_parity(na: int, nb: int, k: int, force: bool = False) -> Hypergraph:
     """k-sets f of A u B whose |f n A| differs in parity from |A|; A is first."""
     if k < 1 or na < 0 or nb < 0 or na + nb < k:
         raise DomainError(f"need na+nb >= k >= 1, got na={na}, nb={nb}, k={k}")
     n = na + nb
+    check_enumeration(n, k, force)
     edges = []
     for e in combinations(range(n), k):
         in_a = sum(1 for v in e if v < na)
         if in_a % 2 != na % 2:
             edges.append(e)
-    return Hypergraph(n, k, edges, name=f"parity(|A|={na},|B|={nb},k={k})")
+    return Hypergraph._canonical(n, k, edges, name=f"parity(|A|={na},|B|={nb},k={k})")
 
 
-def build_clique_minus(n: int, k: int) -> Hypergraph:
+def build_clique_minus(n: int, k: int, force: bool = False) -> Hypergraph:
     """Complete k-graph with all edges inside the first n - n/k + 1 vertices removed."""
     if k < 1 or n < k:
         raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
     if n % k != 0:
         raise DomainError(f"clique-minus needs k | n, got n={n}, k={k}")
+    check_enumeration(n, k, force)
     hole = n - n // k + 1
     edges = [e for e in combinations(range(n), k) if e[-1] >= hole]
-    return Hypergraph(n, k, edges, name=f"clique-minus(n={n},k={k})")
+    return Hypergraph._canonical(n, k, edges, name=f"clique-minus(n={n},k={k})")

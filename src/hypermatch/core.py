@@ -10,17 +10,32 @@ Conventions used throughout the package:
 
 Each edge is also backed by an integer bitmask, since subset and disjointness
 tests dominate every solver in the package.
+
+There are two ways to build a Hypergraph. The public constructor trusts
+nothing: host files (`load`, `from_json`), the stable completion and every
+caller outside the package go through it, and every malformed edge becomes a
+DomainError. It checks all edges in bulk and walks them one by one only to
+name the first bad edge in input order. The private `Hypergraph._canonical`
+checks n and k only and takes its edges as given: sorted k-tuples of distinct
+ints in 0..n-1, pairwise distinct and in lex order. Only generators whose
+edges have that form by construction call it: `induced` (relabeled host edges
+or k-subsets of a checked vertex set), `complete_hypergraph`, the random and
+extremal generators, `downward_closure` and `round2_sparsify` (a checked
+subset of the host's edges). CI rejects a call from anywhere else.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
+from operator import lt
 from typing import Iterable, NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, SizeLimitError
+
+ENUMERATE_MAX_KSETS = 1 << 17  # most k-subsets a generator enumerates without force
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -28,6 +43,67 @@ def _mask(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def _check_shape(n: int, k: int) -> None:
+    # type() rather than isinstance(): a bool is an int but never a count or a vertex.
+    if type(n) is not int or n < 0:
+        raise DomainError(f"vertex count must be a nonnegative integer, got {n!r}")
+    if type(k) is not int or k < 1:
+        raise DomainError(f"uniformity must be a positive integer, got {k!r}")
+
+
+def _index(edges: list | tuple) -> tuple:
+    """(edge_masks, edge_set) of a list or tuple of edges."""
+    return tuple(map(_mask, edges)), frozenset(edges)
+
+
+def _bulk_checked(n: int, k: int, edges: list):
+    """(edges, edge_masks, edge_set) if every edge is a list or tuple of k
+    distinct ints in 0..n-1 and no edge repeats, else None.
+
+    Each check is one pass over all edges or all vertices at C speed; an edge
+    is sorted only when some column of the input is not strictly increasing.
+    """
+    if not set(map(type, edges)) <= {list, tuple} or not set(map(len, edges)) <= {k}:
+        return None
+    cols = list(zip(*edges))
+    if not set(map(type, chain.from_iterable(cols))) <= {int}:
+        return None
+    if not all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])):
+        edges = list(map(sorted, edges))
+        cols = list(zip(*edges))
+    if cols and (min(cols[0]) < 0 or max(cols[-1]) >= n):
+        return None
+    del cols  # k columns of e vertices each: freed before the edges are built
+    canon = sorted(map(tuple, edges))
+    masks, edge_set = _index(canon)
+    if len(edge_set) < len(canon) or not set(map(int.bit_count, masks)) <= {k}:
+        return None
+    return tuple(canon), masks, edge_set
+
+
+def _walked(n: int, k: int, edges: list) -> tuple:
+    """The sorted edges, checked one at a time: raises the DomainError that
+    names the first bad edge in input order, or the least duplicate edge."""
+    canon = []
+    for raw in edges:
+        try:
+            e = tuple(sorted(raw))
+        except TypeError:
+            raise DomainError(f"edge {raw!r} is not a list of integer vertices") from None
+        if not all(type(v) is int for v in e):
+            raise DomainError(f"edge {raw!r} is not a list of integer vertices")
+        if len(e) != k or len(set(e)) != k:
+            raise DomainError(f"edge {list(raw)} does not have exactly {k} distinct vertices")
+        if e[0] < 0 or e[-1] >= n:
+            raise DomainError(f"edge {list(e)} has vertices outside 0..{n - 1}")
+        canon.append(e)
+    canon.sort()
+    for a, b in zip(canon, canon[1:]):
+        if a == b:
+            raise DomainError(f"duplicate edge {list(a)}")
+    return tuple(canon)
 
 
 class Hypergraph:
@@ -40,34 +116,32 @@ class Hypergraph:
     __slots__ = ("n", "k", "edges", "name", "edge_masks", "edge_set")
 
     def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]], name: str | None = None):
-        # type() rather than isinstance(): a bool is an int but never a count or a vertex.
-        if type(n) is not int or n < 0:
-            raise DomainError(f"vertex count must be a nonnegative integer, got {n!r}")
-        if type(k) is not int or k < 1:
-            raise DomainError(f"uniformity must be a positive integer, got {k!r}")
-        canon = []
-        for raw in edges:
-            try:
-                e = tuple(sorted(raw))
-            except TypeError:
-                raise DomainError(f"edge {raw!r} is not a list of integer vertices") from None
-            if not all(type(v) is int for v in e):
-                raise DomainError(f"edge {raw!r} is not a list of integer vertices")
-            if len(e) != k or len(set(e)) != k:
-                raise DomainError(f"edge {list(raw)} does not have exactly {k} distinct vertices")
-            if e[0] < 0 or e[-1] >= n:
-                raise DomainError(f"edge {list(e)} has vertices outside 0..{n - 1}")
-            canon.append(e)
-        canon.sort()
-        for a, b in zip(canon, canon[1:]):
-            if a == b:
-                raise DomainError(f"duplicate edge {list(a)}")
+        _check_shape(n, k)
+        edges = list(edges)
+        checked = _bulk_checked(n, k, edges)
+        if checked is None:
+            canon = _walked(n, k, edges)
+            checked = (canon, *_index(canon))
+        self._fill(n, k, name, *checked)
+
+    @classmethod
+    def _canonical(cls, n: int, k: int, edges: Iterable[tuple], name: str | None = None):
+        """Trusted construction: edges must already be sorted k-tuples of
+        distinct ints in 0..n-1, pairwise distinct and in lex order; only n and
+        k are checked (see the module docstring for who may call this)."""
+        _check_shape(n, k)
+        H = object.__new__(cls)
+        edges = tuple(edges)
+        H._fill(n, k, name, edges, *_index(edges))
+        return H
+
+    def _fill(self, n, k, name, edges, edge_masks, edge_set) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "edges", tuple(canon))
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "edge_masks", tuple(_mask(e) for e in canon))
-        object.__setattr__(self, "edge_set", frozenset(canon))
+        object.__setattr__(self, "edge_masks", edge_masks)
+        object.__setattr__(self, "edge_set", edge_set)
 
     def __setattr__(self, key, value):
         raise AttributeError("Hypergraph is immutable")
@@ -92,17 +166,37 @@ class Hypergraph:
         return f"Hypergraph(n={self.n}, k={self.k}, e={self.num_edges}{tag})"
 
 
-def complete_hypergraph(n: int, k: int) -> Hypergraph:
-    if type(k) is not int or k < 1:
-        raise DomainError(f"uniformity must be a positive integer, got {k!r}")
-    return Hypergraph(n, k, combinations(range(n), k))
+def check_enumeration(n: int, k: int, force: bool = False) -> None:
+    """Check (n, k) and, unless force, that C(n, k) <= ENUMERATE_MAX_KSETS.
+
+    Called by every generator that enumerates the k-subsets of range(n), so
+    an oversized request stops with SizeLimitError before any work is done.
+    """
+    _check_shape(n, k)
+    if not force and comb(n, k) > ENUMERATE_MAX_KSETS:
+        raise SizeLimitError(
+            f"enumerating k-sets enforces C(n, k) <= {ENUMERATE_MAX_KSETS}, "
+            f"got C({n}, {k}) = {comb(n, k)}"
+        )
+
+
+def complete_hypergraph(n: int, k: int, force: bool = False) -> Hypergraph:
+    check_enumeration(n, k, force)
+    return Hypergraph._canonical(n, k, combinations(range(n), k))
 
 
 def vertex_subset(H: Hypergraph, members: Iterable[int]) -> tuple:
-    """Normalize to a sorted tuple and validate against the host vertex range."""
-    t = tuple(sorted(members))
+    """Normalize to a sorted tuple and validate against the host vertex range.
+
+    Members follow the constructor's rule: only an int is a vertex (a bool,
+    a float or a str is not), so every caller gets DomainError for them.
+    """
+    raw = tuple(members)
+    if not set(map(type, raw)) <= {int}:
+        raise DomainError(f"vertex set {list(raw)} is not a list of integer vertices")
+    t = tuple(sorted(raw))
     if len(set(t)) != len(t):
-        raise DomainError(f"vertex set {list(members)} has repeated members")
+        raise DomainError(f"vertex set {list(raw)} has repeated members")
     if t and (t[0] < 0 or t[-1] >= H.n):
         raise DomainError(f"vertex set {list(t)} not contained in 0..{H.n - 1}")
     return t
@@ -169,7 +263,8 @@ def induced(H: Hypergraph, S: Iterable[int]) -> Subgraph:
     When C(|S|, k) < e(H), each k-subset of S is looked up in the host's edge
     set; otherwise the host's edges are scanned against S's mask. Either way
     the cost is the smaller of the two counts, and the edges come out in the
-    same lex order.
+    same lex order. Both routes yield canonical edges over the checked,
+    sorted vertex set s, so the subgraph is built by the trusted constructor.
     """
     s = vertex_subset(H, S)
     k = H.k
@@ -181,7 +276,7 @@ def induced(H: Hypergraph, S: Iterable[int]) -> Subgraph:
         sm = _mask(s)
         new_of = {old: i for i, old in enumerate(s)}
         out = [tuple(new_of[v] for v in e) for e, em in zip(H.edges, H.edge_masks) if em & sm == em]
-    return Subgraph(Hypergraph(len(s), k, out), s)
+    return Subgraph(Hypergraph._canonical(len(s), k, out), s)
 
 
 def remove(H: Hypergraph, S: Iterable[int]) -> Subgraph:

@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .core import Hypergraph
+from .core import Hypergraph, check_enumeration
 from .errors import CertificationError
 
 _ZERO = Fraction(0)
@@ -152,12 +152,14 @@ class StableCompletion(NamedTuple):
     weights: tuple  # minimum-cover weights in the new labeling, descending
 
 
-def stable_completion(H: Hypergraph) -> StableCompletion:
+def stable_completion(H: Hypergraph, force: bool = False) -> StableCompletion:
     """Relabel by a minimum fractional cover and adjoin all weight-1 non-edges.
 
     Ties in the cover weight are broken by original vertex index, so the
-    relabeling (and with it the completed hypergraph) is reproducible.
+    relabeling (and with it the completed hypergraph) is reproducible. Every
+    k-set is a candidate, so C(n, k) is guarded unless force.
     """
+    check_enumeration(H.n, H.k, force)
     sol = fractional_optimum(H)
     omega = sol.vertex_weights
     order = tuple(sorted(range(H.n), key=lambda v: (-omega[v], v)))

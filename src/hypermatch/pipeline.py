@@ -193,7 +193,8 @@ def round2_sparsify(H: Hypergraph, sample: RoundOneSample, fracs, seed: int) -> 
     fracs[i] is None or the host-labeled weight map that `certify_copies`
     certified as a perfect fractional matching of copy i; each positive-weight
     edge is kept with probability its weight. The run fails only if every
-    slot is None. Returns the spanning subgraph of the selected edges.
+    slot is None. Returns the spanning subgraph of the selected edges, which
+    are checked to be host edges and so are canonical.
     """
     if len(fracs) != len(sample.copies):
         raise DomainError("need one fractional solution slot per copy")
@@ -209,7 +210,7 @@ def round2_sparsify(H: Hypergraph, sample: RoundOneSample, fracs, seed: int) -> 
                 selected.add(e)
     if not selected <= H.edge_set:
         raise CertificationError(f"round2: selected non-host edges {sorted(selected - H.edge_set)}")
-    return Hypergraph(H.n, H.k, sorted(selected))
+    return Hypergraph._canonical(H.n, H.k, sorted(selected))
 
 
 def greedy_low_degradation_matching(H: Hypergraph) -> tuple:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .closeness import barrier_deficit
 from .constructions import space_barrier_edge_count
-from .core import Hypergraph
+from .core import Hypergraph, check_enumeration
 from .errors import CertificationError, DomainError
 from .exact import max_matching
 from .rng import TAG_CLOSURE, CounterRng, combination_unrank
@@ -121,13 +121,25 @@ def stability_closeness_check(H: Hypergraph, m: int, xi: Fraction) -> StabilityC
     return StabilityCloseness(hypotheses, conclusion, deficit)
 
 
-def downward_closure(n: int, k: int, generators) -> Hypergraph:
-    """Smallest stable hypergraph containing the given k-sets."""
+def downward_closure(n: int, k: int, generators, force: bool = False) -> Hypergraph:
+    """Smallest stable hypergraph containing the given k-sets.
+
+    The closure may hold every k-subset, so C(n, k) is guarded. Generators are
+    checked as edges are, and decrements keep sorted tuples sorted and in
+    range, so the sorted closure goes to the trusted constructor.
+    """
+    check_enumeration(n, k, force)
     seen = set()
     stack = []
     for g in generators:
         e = tuple(sorted(g))
-        if len(e) != k or len(set(e)) != k or e[0] < 0 or e[-1] >= n:
+        if (
+            not set(map(type, e)) <= {int}
+            or len(e) != k
+            or len(set(e)) != k
+            or e[0] < 0
+            or e[-1] >= n
+        ):
             raise DomainError(f"generator {list(g)} is not a k-subset of 0..{n - 1}")
         if e not in seen:
             seen.add(e)
@@ -138,7 +150,7 @@ def downward_closure(n: int, k: int, generators) -> Hypergraph:
             if e not in seen:
                 seen.add(e)
                 stack.append(e)
-    return Hypergraph(n, k, sorted(seen))
+    return Hypergraph._canonical(n, k, sorted(seen))
 
 
 def random_stable_hypergraph(n: int, k: int, seed: int, generator_count: int = 3) -> Hypergraph:
@@ -149,6 +161,7 @@ def random_stable_hypergraph(n: int, k: int, seed: int, generator_count: int = 3
     """
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
+    check_enumeration(n, k)  # before the draws, whose unranking walks up to n
     rng = CounterRng(seed)
     total = comb(n, k)
     gens = [

@@ -6,8 +6,9 @@ have n <= 8 and the usual sweep and suite values stay at n <= 10. A wild
 `--n-end` or `--n` (`--n-end 99` asks `sweep` for the barriers' matching
 numbers up to n = 99, `--n 99` asks the stability2 suite for `max_matching`
 on 99-vertex graphs) ends in a `SizeLimitError` once the matching search
-passes its work budget, instead of reaching an unguarded solver. Building the
-C(n, k) edge sets of a 6-digit n is not guarded.
+passes its work budget, instead of reaching an unguarded solver. A 6-digit
+`--n` ends the same way before any k-set is built: generators that enumerate
+the C(n, k) k-sets stop at `core.ENUMERATE_MAX_KSETS` unless `--force`.
 """
 
 import io
