@@ -35,7 +35,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import DomainError, SizeLimitError
 
-ENUMERATE_MAX_KSETS = 1 << 17  # most k-subsets a generator enumerates without force
+ENUMERATE_MAX_KSETS = 1 << 17  # most k-subsets a guarded generator enumerates without force
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -169,19 +169,33 @@ class Hypergraph:
 def check_enumeration(n: int, k: int, force: bool = False) -> None:
     """Check (n, k) and, unless force, that C(n, k) <= ENUMERATE_MAX_KSETS.
 
-    Called by every generator that enumerates the k-subsets of range(n), so
-    an oversized request stops with SizeLimitError before any work is done.
+    Called by the generators a CLI flag can size, so an oversized request
+    stops with SizeLimitError before any work is done.
     """
     _check_shape(n, k)
-    if not force and comb(n, k) > ENUMERATE_MAX_KSETS:
+    if not force and _comb_exceeds(n, k, ENUMERATE_MAX_KSETS):
         raise SizeLimitError(
             f"enumerating k-sets enforces C(n, k) <= {ENUMERATE_MAX_KSETS}, "
-            f"got C({n}, {k}) = {comb(n, k)}"
+            f"got C({n}, {k}) > {ENUMERATE_MAX_KSETS}"
         )
 
 
-def complete_hypergraph(n: int, k: int, force: bool = False) -> Hypergraph:
-    check_enumeration(n, k, force)
+def _comb_exceeds(n: int, k: int, cap: int) -> bool:
+    """C(n, k) > cap, found by building C(n, j) up from j = 0 and stopping
+    once it passes cap: C(n, j) >= 2^j for j <= n/2, so the walk stays short
+    however large n and k are, and no huge binomial is ever formed."""
+    if k > n:
+        return False
+    c = 1
+    for j in range(1, min(k, n - k) + 1):
+        if c > cap:
+            return True
+        c = c * (n - j + 1) // j
+    return c > cap
+
+
+def complete_hypergraph(n: int, k: int) -> Hypergraph:
+    _check_shape(n, k)  # before range(n) sees a non-int n
     return Hypergraph._canonical(n, k, combinations(range(n), k))
 
 

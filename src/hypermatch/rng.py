@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .core import Hypergraph, check_enumeration
+from .core import Hypergraph
 from .errors import DomainError
 
 _MASK64 = (1 << 64) - 1
@@ -115,13 +115,13 @@ def bernoulli_subsets(n: int, k: int, p: Fraction, rng: CounterRng, tag: int):
             yield cand
 
 
-def random_hypergraph(n: int, k: int, p: Fraction, seed: int, force: bool = False) -> Hypergraph:
+def random_hypergraph(n: int, k: int, p: Fraction, seed: int) -> Hypergraph:
     """Seeded Erdos-Renyi style k-graph: every k-set kept with probability p.
 
-    The kept k-sets come in lex order, so the trusted constructor takes them.
+    The kept k-sets come in lex order, so the trusted constructor takes them;
+    it checks n and k before it draws the first one.
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got k={k}")
-    check_enumeration(n, k, force)
     rng = CounterRng(seed)
     return Hypergraph._canonical(n, k, bernoulli_subsets(n, k, p, rng, TAG_EDGE_SAMPLE))

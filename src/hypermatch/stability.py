@@ -121,14 +121,12 @@ def stability_closeness_check(H: Hypergraph, m: int, xi: Fraction) -> StabilityC
     return StabilityCloseness(hypotheses, conclusion, deficit)
 
 
-def downward_closure(n: int, k: int, generators, force: bool = False) -> Hypergraph:
+def downward_closure(n: int, k: int, generators) -> Hypergraph:
     """Smallest stable hypergraph containing the given k-sets.
 
-    The closure may hold every k-subset, so C(n, k) is guarded. Generators are
-    checked as edges are, and decrements keep sorted tuples sorted and in
-    range, so the sorted closure goes to the trusted constructor.
+    Generators are checked as edges are, and decrements keep sorted tuples
+    sorted and in range, so the sorted closure goes to the trusted constructor.
     """
-    check_enumeration(n, k, force)
     seen = set()
     stack = []
     for g in generators:
