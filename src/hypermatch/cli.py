@@ -384,6 +384,8 @@ def cmd_sweep(args):
         raise DomainError(f"need 0 < l < k, got k={k}, l={l}")
     if args.search_trials < 0:
         raise DomainError(f"--search-trials must be non-negative, got {args.search_trials}")
+    if not 0 <= args.search_p <= 1:
+        raise DomainError(f"--search-p must lie in [0, 1], got {args.search_p}")
     # The theorem's m-range n/k - mu*n <= m <= n/k - 1 - (1 - l/k)*a needs l > k/2.
     a = default_parameters(k, l).a if 2 * l > k else None
     rng = CounterRng(args.seed or 0)

@@ -14,7 +14,8 @@ tests dominate every solver in the package.
 There are two ways to build a Hypergraph. The public constructor trusts
 nothing: host files (`load`, `from_json`), the stable completion and every
 caller outside the package go through it, and every malformed edge becomes a
-DomainError. It checks all edges in bulk and walks them one by one only to
+DomainError (edges whose masks total more than _MAX_MASK_BITS bits, a
+SizeLimitError). It checks all edges in bulk and walks them one by one only to
 name the first bad edge in input order. The private `Hypergraph._canonical`
 checks n and k only and takes its edges as given: sorted k-tuples of distinct
 ints in 0..n-1, pairwise distinct and in lex order. Only generators whose
@@ -36,6 +37,8 @@ from typing import Iterable, NamedTuple
 from .errors import DomainError, SizeLimitError
 
 ENUMERATE_MAX_KSETS = 1 << 17  # most k-subsets a guarded generator enumerates without force
+_MAX_VERTICES = 1 << 20  # solvers keep per-vertex tables
+_MAX_MASK_BITS = 1 << 28  # an edge is a mask as wide as its largest vertex: 32 MiB in all
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -51,6 +54,14 @@ def _check_shape(n: int, k: int) -> None:
         raise DomainError(f"vertex count must be a nonnegative integer, got {n!r}")
     if type(k) is not int or k < 1:
         raise DomainError(f"uniformity must be a positive integer, got {k!r}")
+    if n > _MAX_VERTICES:
+        raise SizeLimitError(f"hypergraphs enforce n <= {_MAX_VERTICES}, got n={n}")
+
+
+def _check_mask_bits(last_vertices: Iterable[int]) -> None:
+    if sum(last_vertices) > _MAX_MASK_BITS:
+        raise SizeLimitError(f"hypergraph input enforces at most {_MAX_MASK_BITS} edge-mask bits, "
+                             "the sum of each edge's largest vertex")
 
 
 def _index(edges: list | tuple) -> tuple:
@@ -75,6 +86,7 @@ def _bulk_checked(n: int, k: int, edges: list):
         cols = list(zip(*edges))
     if cols and (min(cols[0]) < 0 or max(cols[-1]) >= n):
         return None
+    _check_mask_bits(cols[-1] if cols else ())
     del cols  # k columns of e vertices each: freed before the edges are built
     canon = sorted(map(tuple, edges))
     masks, edge_set = _index(canon)
@@ -103,6 +115,7 @@ def _walked(n: int, k: int, edges: list) -> tuple:
     for a, b in zip(canon, canon[1:]):
         if a == b:
             raise DomainError(f"duplicate edge {list(a)}")
+    _check_mask_bits(e[-1] for e in canon)
     return tuple(canon)
 
 
@@ -266,9 +279,6 @@ class Subgraph(NamedTuple):
 
     def lift(self, subset: Iterable[int]) -> tuple:
         return tuple(sorted(self.vertices[v] for v in subset))
-
-    def lift_edges(self, edges: Iterable[Iterable[int]]) -> tuple:
-        return tuple(sorted(self.lift(e) for e in edges))
 
 
 def induced(H: Hypergraph, S: Iterable[int]) -> Subgraph:

@@ -11,7 +11,8 @@ fixed and documented:
   The witness is read back in that same order, so it is the
   lexicographically least maximum matching. Recursion depth is nu + 1, and
   the search stops with SizeLimitError after MATCHING_MAX_NODES evaluations
-  unless forced.
+  unless forced. The absorber test in absorbing runs the same search on a
+  vertex subset of the host, with its edges scanned or looked up there.
 * independence_number adds vertices in index order, include branch first,
   pruning a vertex whose inclusion completes an edge.
 * berge_deficiency scans cut sets W by increasing size, lexicographic within
@@ -74,7 +75,7 @@ def greedy_matching(H: Hypergraph) -> tuple:
     return tuple(out)
 
 
-MATCHING_MAX_NODES = 1 << 20  # child evaluations max_matching makes without force
+MATCHING_MAX_NODES = 1 << 20  # child evaluations a matching search makes without force
 
 
 def max_matching(H: Hypergraph, force: bool = False) -> MatchingResult:
@@ -99,13 +100,31 @@ def max_matching(H: Hypergraph, force: bool = False) -> MatchingResult:
     Every nu call, memo hits included, counts against MATCHING_MAX_NODES;
     past it SizeLimitError is raised unless force is set.
     """
-    k = H.k
     full = (1 << H.n) - 1
-    starts_at = [[] for _ in range(H.n)]
-    starts = 0
+    witness = _lex_least_matching(H, full, *_edges_by_start(H, full), force)
+    return MatchingResult(len(witness), tuple(witness))
+
+
+def _edges_by_start(H: Hypergraph, full: int) -> tuple:
+    """(starts, edges_at) for _lex_least_matching from one scan of H's edges:
+    the edges inside the vertex mask full, listed by least vertex."""
+    starts_at: dict = {}
     for e, m in zip(H.edges, H.edge_masks):
-        starts_at[e[0]].append((e, m))
-        starts |= 1 << e[0]
+        if m & full == m:
+            starts_at.setdefault(e[0], []).append((e, m))
+    return _mask(starts_at), lambda v, dead: starts_at.get(v, ())
+
+
+def _lex_least_matching(H: Hypergraph, full: int, starts: int, edges_at, force: bool) -> list:
+    """The search of max_matching on the vertex mask full, with its edges
+    taken from the caller: the lex-least maximum matching of H[full].
+
+    edges_at(v, dead) yields, in lex order, (edge, mask) for every edge of
+    H[full] that starts at v and avoids dead; edges that meet dead may be
+    yielded too and are skipped. starts masks the vertices at which an edge
+    of H[full] starts. The budget and its SizeLimitError are max_matching's.
+    """
+    k = H.k
     limit = inf if force else MATCHING_MAX_NODES
     memo: dict = {}
     evaluations = 0
@@ -114,9 +133,10 @@ def max_matching(H: Hypergraph, force: bool = False) -> MatchingResult:
         nonlocal evaluations
         evaluations += 1
         if evaluations > limit:
+            e = sum(m & full == m for m in H.edge_masks)
             raise SizeLimitError(
-                f"max_matching enforces at most {limit} search evaluations; "
-                f"n={H.n}, e={H.num_edges}"
+                f"the exact matching search enforces at most {limit} search "
+                f"evaluations; n={full.bit_count()}, e={e}"
             )
         if dead in memo:
             return memo[dead]
@@ -127,7 +147,7 @@ def max_matching(H: Hypergraph, force: bool = False) -> MatchingResult:
             if best >= bound:
                 break
             v = (live & -live).bit_length() - 1
-            for e, m in starts_at[v]:
+            for e, m in edges_at(v, d):
                 if not m & d:
                     got = 1 + nu(d | m)
                     if got > best:
@@ -143,14 +163,15 @@ def max_matching(H: Hypergraph, force: bool = False) -> MatchingResult:
     while need:
         live = full & ~d
         v = (live & -live).bit_length() - 1
-        for e, m in starts_at[v]:
+        for e, m in edges_at(v, d):
             if not m & d and 1 + nu(d | m) == need:
                 witness.append(e)
                 need, d = need - 1, d | m
                 break
         else:
             d |= 1 << v
-    return MatchingResult(len(witness), tuple(witness))
+    nu = None  # breaks the cycle nu -> its closure -> nu, so the memo is freed now
+    return witness
 
 
 def independence_number(H: Hypergraph) -> IndependenceResult:

@@ -123,5 +123,7 @@ def random_hypergraph(n: int, k: int, p: Fraction, seed: int) -> Hypergraph:
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got k={k}")
+    if not 0 <= p <= 1:
+        raise DomainError(f"p must lie in [0, 1], got {p}")
     rng = CounterRng(seed)
     return Hypergraph._canonical(n, k, bernoulli_subsets(n, k, p, rng, TAG_EDGE_SAMPLE))

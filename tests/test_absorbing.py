@@ -1,7 +1,9 @@
+import gc
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb, inf
 
 import pytest
 
@@ -14,6 +16,7 @@ from hypermatch import (
     CertificationError,
     DomainError,
     Hypergraph,
+    SizeLimitError,
     absorb,
     build_space_barrier,
     complete_hypergraph,
@@ -23,9 +26,73 @@ from hypermatch import (
     sample_absorbing_family,
     validate_matching,
 )
-from hypermatch.rng import TAG_PROBE, CounterRng
+from hypermatch import absorbing, exact
+from hypermatch.rng import TAG_PROBE, CounterRng, random_hypergraph
 
 PARAMS32 = AbsorbingParameters(3, 2, 1, 2)
+
+
+def induced_matching_in(H, X, t):
+    """The route _matching_in replaced, kept as its oracle: build H[X],
+    match it, and lift the first t witness edges back to host labels."""
+    sub = induced(H, X)
+    witness = max_matching(sub.graph).witness
+    return tuple(sorted(sub.lift(e) for e in witness[:t])) if len(witness) >= t else ()
+
+
+# _matching_in looks edges up when C(|X|, k) < e(H) and scans H otherwise;
+# patching its comb forces one route on every host.
+ROUTES = {"lookup": lambda n, k: -1, "scan": lambda n, k: inf}
+
+
+class TestMatchingIn:
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_agrees_with_the_induced_subgraph_route(self, monkeypatch, k, route):
+        cases = []
+        for seed in range(6):
+            rng = CounterRng(seed)
+            for n in (k + 1, 9, 12):
+                for p in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10), Fraction(1)):
+                    H = random_hypergraph(n, k, p, 100 * seed + n)
+                    for size in range(n + 1):
+                        X = rng.sample(list(range(n)), size, n, size, p.denominator)
+                        cases += [(H, X, t, induced_matching_in(H, X, t)) for t in range(5)]
+        monkeypatch.setattr(absorbing, "comb", ROUTES[route])
+        for H, X, t, expected in cases:
+            assert absorbing._matching_in(H, set(X), t) == expected, (H.edges, X, t)
+        assert any(len(expected) == min(4, 12 // k) for _, _, _, expected in cases)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_budget_still_raises(self, monkeypatch, route):
+        H = complete_hypergraph(12, 3)
+        monkeypatch.setattr(absorbing, "comb", ROUTES[route])
+        monkeypatch.setattr(exact, "MATCHING_MAX_NODES", 3)
+        # The message sizes the searched set H[X] (C(9, 3) = 84 edges), not the host.
+        with pytest.raises(SizeLimitError, match="at most 3 search evaluations; n=9, e=84$"):
+            absorbing._matching_in(H, range(9), 3)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_leaves_no_reference_cycle(self, monkeypatch, route):
+        # A cycle through the search's closure would keep its memo and edge
+        # lists alive until the collector runs, which raises peak memory.
+        H = random_hypergraph(12, 3, Fraction(1, 2), 5)
+        monkeypatch.setattr(absorbing, "comb", ROUTES[route])
+        gc.disable()
+        try:
+            gc.collect()
+            assert absorbing._matching_in(H, range(10), 3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_both_routes_are_taken_unpatched(self):
+        # Dense and sparse hosts, as the absorbing family meets them.
+        dense, sparse = complete_hypergraph(10, 3), random_hypergraph(10, 3, Fraction(1, 20), 3)
+        assert comb(7, 3) < dense.num_edges and comb(7, 3) >= sparse.num_edges
+        for H in (dense, sparse):
+            for X in ((0, 2, 3, 5, 6, 8, 9), tuple(range(7))):
+                assert absorbing._matching_in(H, X, 2) == induced_matching_in(H, X, 2)
 
 
 def legal_pairs(k, l):

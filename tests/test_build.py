@@ -208,6 +208,33 @@ def test_guard_sits_above_every_host_the_tests_and_benchmark_build():
     core.check_enumeration(3000, 3, force=True)
 
 
+def test_vertex_count_is_capped_before_any_work():
+    # Each edge is an n-bit mask, so a huge n is refused up front, by every
+    # constructor and generator, not met as a MemoryError later.
+    cap = core._MAX_VERTICES
+    assert Hypergraph(cap, 2, [(0, cap - 1)]).num_edges == 1
+    for build in (
+        lambda: Hypergraph(cap + 1, 2, [(0, cap)]),
+        lambda: Hypergraph._canonical(10**11, 2, [(0, 10**11 - 1)]),
+        lambda: complete_hypergraph(10**11, 2),
+        lambda: random_hypergraph(10**11, 2, Fraction(1, 2), 0),
+    ):
+        with pytest.raises(SizeLimitError, match=f"n <= {cap}"):
+            build()
+
+
+def test_outside_input_is_capped_on_its_total_mask_bits(monkeypatch):
+    # The bound is the sum of each edge's largest vertex, on both input paths:
+    # the bulk check (lists) and the one-by-one walk (here, sets).
+    monkeypatch.setattr(core, "_MAX_MASK_BITS", 12)
+    assert Hypergraph(9, 2, [(0, 4), (1, 8)]).num_edges == 2
+    assert Hypergraph(9, 2, [{0, 4}, {1, 8}]).num_edges == 2
+    for edges in ([(0, 5), (1, 8)], [{0, 5}, {1, 8}]):
+        with pytest.raises(SizeLimitError, match="at most 12 edge-mask bits"):
+            Hypergraph(9, 2, edges)
+    assert complete_hypergraph(9, 2).num_edges == 36  # the package's own builders are trusted
+
+
 def test_guard_compares_without_forming_a_huge_binomial():
     for n in range(0, 40):
         for k in range(1, n + 3):

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import ceil
 
 import pytest
 
+import hypermatch
 from hypermatch import (
     Hypergraph,
     build_space_barrier,
@@ -341,6 +345,18 @@ class TestErrorSurface:
                 id="negative-search-trials",
             ),
             pytest.param(
+                None,
+                ["sweep", "--k", "3", "--l", "2", "--n-start", "9", "--n-end", "9", "--search-p", "-1"],
+                "--search-p must lie in [0, 1], got -1",
+                id="search-p-negative",
+            ),
+            pytest.param(
+                None,
+                ["sweep", "--k", "3", "--l", "2", "--n-start", "9", "--n-end", "9", "--search-trials", "2", "--search-p", "5/2"],
+                "--search-p must lie in [0, 1], got 5/2",
+                id="search-p-above-one",
+            ),
+            pytest.param(
                 b'{"n": 6, "k": 3, "edges": [[0, 1, 2]]}',
                 ["round1", "{file}", "--copies", "1", "--p", "abc"],
                 "argument --p: expected a rational like p/q, got 'abc'",
@@ -377,6 +393,41 @@ class TestErrorSurface:
         assert "outside" not in rep["error"]["message"]
         if message is not None:
             assert rep["error"]["message"] == message
+
+
+@pytest.mark.parametrize(
+    "host, message",
+    [
+        # one edge whose mask alone would be a 12.5 GB integer
+        ({"n": 100000000000, "k": 2, "edges": [[0, 99999999999]]}, "n <= "),
+        # 5,000 edges of 128 KiB masks each: 655 MB from an 84 KB file
+        ({"n": 1 << 20, "k": 2, "edges": [[i, (1 << 20) - 1] for i in range(5000)]}, "edge-mask bits"),
+    ],
+    ids=["huge-n", "many-wide-edges"],
+)
+def test_huge_host_ends_in_a_report_under_a_memory_cap(tmp_path, host, message):
+    # Each edge is a mask as wide as its largest vertex: both files once died
+    # with a bare MemoryError traceback under a 1 GiB address space.
+    pytest.importorskip("resource")  # the address-space cap is POSIX only
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(host))
+    script = """
+import resource, sys
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from hypermatch.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+    src = os.path.dirname(os.path.dirname(hypermatch.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "nu", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["error"]["type"] == "SizeLimitError" and message in rep["error"]["message"]
 
 
 class TestMatchingBudget:

@@ -155,7 +155,7 @@ class TestSubgraphs:
 
     def test_lift_recovers_host_edges(self, fano):
         sub = induced(fano, (1, 2, 3, 4, 5, 6))
-        lifted = sub.lift_edges(sub.graph.edges)
+        lifted = [sub.lift(e) for e in sub.graph.edges]
         assert set(lifted) <= set(fano.edges)
         assert len(lifted) == sub.graph.num_edges
 

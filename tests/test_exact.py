@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from itertools import combinations
 
@@ -52,9 +53,22 @@ class TestMaxMatching:
         H = complete_hypergraph(9, 3)
         expected = max_matching(H)
         monkeypatch.setattr(exact, "MATCHING_MAX_NODES", 5)
-        with pytest.raises(SizeLimitError, match="at most 5 search evaluations"):
+        with pytest.raises(SizeLimitError, match="at most 5 search evaluations; n=9, e=84$"):
             max_matching(H)
         assert max_matching(H, force=True) == expected == (3, ((0, 1, 2), (3, 4, 5), (6, 7, 8)))
+
+
+    def test_leaves_no_reference_cycle(self):
+        # A cycle through the search's closure would keep its memo and edge
+        # lists alive until the collector runs, which raises peak memory.
+        H = random_hypergraph(12, 3, Fraction(1, 2), 5)
+        gc.disable()
+        try:
+            gc.collect()
+            assert max_matching(H).size == 4
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestIndependenceNumber:

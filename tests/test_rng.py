@@ -112,6 +112,12 @@ def test_bernoulli_subsets_is_one_bernoulli_per_candidate(p, seed):
             assert list(bernoulli_subsets(n, k, p, rng, tag)) == expected
 
 
+@pytest.mark.parametrize("p", [Fraction(-1), Fraction(-1, 10**9), Fraction(5, 2), Fraction(10**9 + 1, 10**9)])
+def test_random_hypergraph_rejects_p_outside_the_unit_interval(p):
+    with pytest.raises(DomainError, match="p must lie in"):
+        random_hypergraph(5, 2, p, 3)
+
+
 def test_random_hypergraph_is_reproducible():
     a = random_hypergraph(8, 3, Fraction(1, 2), 123)
     b = random_hypergraph(8, 3, Fraction(1, 2), 123)
