@@ -26,7 +26,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .core import Hypergraph, _mask, vertex_subset
+from .core import Hypergraph, _mask, check_enumeration, vertex_subset
 from .errors import AbsorptionStuckError, CertificationError, DomainError
 from .exact import _edges_by_start, _lex_least_matching, validate_matching
 from .rng import TAG_FAMILY, TAG_PROBE, CounterRng, bernoulli_subsets
@@ -126,6 +126,7 @@ def sample_absorbing_family(
     rho: Fraction,
     seed: int,
     probes: int = 100,
+    force: bool = False,
 ) -> AbsorbingFamily:
     """Bernoulli-sample candidate sets, prune to a disjoint matchable family.
 
@@ -138,6 +139,9 @@ def sample_absorbing_family(
     seeded probe sets R drawn from the uncovered vertices, the smallest number
     of members Q with nu(H[R u Q]) >= a + 1 (admission already certified each
     member's a-matching).
+
+    The sampler enumerates all C(n, a*k) candidates, so it stops with
+    SizeLimitError past core.ENUMERATE_MAX_KSETS of them unless force.
     """
     rho = Fraction(rho)
     if not 0 < rho < 1:
@@ -147,6 +151,7 @@ def sample_absorbing_family(
     if params.k != H.k:
         raise DomainError(f"session k={params.k} does not match hypergraph k={H.k}")
     n, qk = H.n, params.q_size
+    check_enumeration(n, qk, force)
     total = comb(n, qk)
     if total == 0:
         raise DomainError(f"no {qk}-subsets available on n={n} vertices")

@@ -235,7 +235,7 @@ def cmd_fdense(args):
 def cmd_absorb(args):
     H = core.load(args.file)
     params = AbsorbingParameters(H.k, args.l, args.a, args.h)
-    family = sample_absorbing_family(H, params, args.rho, args.seed or 0, probes=args.probes)
+    family = sample_absorbing_family(H, params, args.rho, args.seed or 0, args.probes, args.force)
     results = {
         "parameters": params,
         "family_size": len(family.members),
@@ -388,6 +388,8 @@ def cmd_sweep(args):
         raise DomainError(f"--search-p must lie in [0, 1], got {args.search_p}")
     # The theorem's m-range n/k - mu*n <= m <= n/k - 1 - (1 - l/k)*a needs l > k/2.
     a = default_parameters(k, l).a if 2 * l > k else None
+    if args.n_start <= args.n_end:
+        core.check_enumeration(args.n_end, k)  # the largest row's barrier, before the first row
     rng = CounterRng(args.seed or 0)
     rows = []
     for n in range(args.n_start, args.n_end + 1):
@@ -434,8 +436,8 @@ def build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=None, help="seed for randomized steps")
     force_help = (
         "lift the berge size guard, nu's matching-search budget and the k-set "
-        "enumeration guard of construct and stable-complete; closest and fdense "
-        "scan every candidate set"
+        "enumeration guard of construct, stable-complete and absorb's family "
+        "sampler; closest and fdense scan every candidate set"
     )
     common.add_argument("--force", action="store_true", help=force_help)
     common.add_argument("--format", choices=("json", "csv"), default="json")

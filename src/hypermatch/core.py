@@ -182,8 +182,9 @@ class Hypergraph:
 def check_enumeration(n: int, k: int, force: bool = False) -> None:
     """Check (n, k) and, unless force, that C(n, k) <= ENUMERATE_MAX_KSETS.
 
-    Called by the generators a CLI flag can size, so an oversized request
-    stops with SizeLimitError before any work is done.
+    Called by the generators a CLI flag can size, by the absorbing-family
+    sampler, and by sweep for its largest row, so an oversized request stops
+    with SizeLimitError before any work is done.
     """
     _check_shape(n, k)
     if not force and _comb_exceeds(n, k, ENUMERATE_MAX_KSETS):

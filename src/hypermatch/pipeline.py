@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 
 from .constructions import comb0
 from .core import Hypergraph, induced, vertex_subset
@@ -76,7 +76,7 @@ def round1_sample(H: Hypergraph, copies: int, p: Fraction, seed: int) -> RoundOn
     out = []
     y = [0] * n
     for i in range(copies):
-        kept = [v for v in range(n) if rng.bernoulli(p, TAG_ROUND1, i, v)]
+        kept = list(compress(range(n), rng.bernoulli_flags(p, n, TAG_ROUND1, i)))
         for j in range(len(kept) % k):
             kept.pop(rng.below(len(kept), TAG_TRIM, i, j))
         copy = tuple(kept)

@@ -5,12 +5,21 @@ where the key path is a tuple of nonnegative integers naming the decision
 (copy index, candidate index, retry counter, ...). Draws therefore replay
 bit-identically across platforms and are independent of evaluation order,
 which keeps Monte Carlo regression baselines stable. The mixer is SplitMix64.
+
+A fixed-p Bernoulli stream (CounterRng.bernoulli_flags: the k-subsets of
+bernoulli_subsets, the vertices of a round-one copy) is mixed a block of up
+to _BLOCK draws at a time: draw i gets one 128-bit lane of a single packed
+int, and each SplitMix64 step runs once on the whole int, with every shift
+masked back to the low 64 bits of each lane so that no bit crosses into the
+next; a 64x64-bit product fits the lane. Every flag equals the scalar
+CounterRng.bernoulli verdict bit for bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import chain, combinations, compress
 from math import comb
 
 from .core import Hypergraph
@@ -18,6 +27,8 @@ from .errors import DomainError
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_BLOCK = 256  # lanes per block of a Bernoulli stream, a power of two
 
 # Key-path namespace tags, one per random decision site.
 TAG_EDGE_SAMPLE = 1
@@ -35,9 +46,18 @@ def splitmix64(x: int) -> int:
     """One SplitMix64 output step for a 64-bit state."""
     x = (x + _GAMMA) & _MASK64
     z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
+
+
+@cache
+def _lanes(size: int) -> tuple:
+    """(ones, index, mask, gamma) for a block of size 128-bit lanes: 1, the
+    lane's index, 2^64 - 1 and _GAMMA in every lane; built at first use."""
+    ones = int.from_bytes(b"\x01".ljust(16, b"\x00") * size, "little")
+    index = sum(j << 128 * j for j in range(size))
+    return ones, index, _MASK64 * ones, _GAMMA * ones
 
 
 class CounterRng:
@@ -61,6 +81,31 @@ class CounterRng:
         """True with probability p: the top 53 bits of the draw, read as a
         rational in [0, 1), fall below p; compared in integers."""
         return (self.raw(*key) >> 11) * p.denominator < p.numerator << 53
+
+    def bernoulli_flags(self, p: Fraction, count: int, *key: int):
+        """Iterator of count 0/1 ints; item i is self.bernoulli(p, *key, i).
+
+        raw(*key) is hashed once, then each block of lanes draws
+        splitmix64(raw(*key) ^ i) for its i at once. A block starts at a
+        multiple of its size, so its lanes hold (prefix ^ start) ^ j. The test
+        (draw >> 11) * den < num << 53 is draw < top with top =
+        ceil(num * 2^53 / den) * 2^11 clamped to [0, 2^64]; bit 64 of
+        (2^64 - 1 - draw) + top is set exactly then.
+        """
+        prefix = self.raw(*key)
+        top = min(max(-(-(p.numerator << 53) // p.denominator) << 11, 0), 1 << 64)
+        size = min(_BLOCK, 1 << max(count - 1, 0).bit_length())
+        ones, index, mask, gamma = _lanes(size)
+        top_lanes, width = top * ones, 16 * size
+
+        def block(start: int) -> bytes:
+            z = ((index ^ ((prefix ^ start) & _MASK64) * ones) + gamma) & mask
+            z = ((z ^ z >> 30) & mask) * _MIX1 & mask
+            z = ((z ^ z >> 27) & mask) * _MIX2 & mask
+            z = ((~(z ^ z >> 31) & mask) + top_lanes) >> 64 & ones
+            return z.to_bytes(width, "little")[::16][: count - start]
+
+        return chain.from_iterable(map(block, range(0, count, size)))
 
     def below(self, bound: int, *key: int) -> int:
         """Uniform integer in [0, bound), unbiased via rejection."""
@@ -104,15 +149,11 @@ def combination_unrank(n: int, k: int, rank: int) -> tuple:
 def bernoulli_subsets(n: int, k: int, p: Fraction, rng: CounterRng, tag: int):
     """Yield each k-subset of range(n) kept with probability p, in lex order.
 
-    The index-th subset is kept iff rng.bernoulli(p, tag, index); the (seed,
-    tag) prefix is hashed once per stream, so each candidate costs one mixer
-    step and the same integer comparison.
+    The index-th subset is kept iff rng.bernoulli(p, tag, index). The flags
+    come from rng.bernoulli_flags, a block of lanes at a time, and
+    itertools.compress picks the kept subsets out of the lex enumeration.
     """
-    prefix = rng.raw(tag)
-    num, den = p.numerator << 53, p.denominator
-    for index, cand in enumerate(combinations(range(n), k)):
-        if (splitmix64(prefix ^ index) >> 11) * den < num:
-            yield cand
+    yield from compress(combinations(range(n), k), rng.bernoulli_flags(p, comb(n, k), tag))
 
 
 def random_hypergraph(n: int, k: int, p: Fraction, seed: int) -> Hypergraph:

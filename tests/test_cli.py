@@ -289,6 +289,30 @@ class TestErrorSurface:
         )
         assert code == 3 and rep["error"]["type"] == "AbsorptionStuckError"
 
+    def test_absorb_guards_its_candidate_count_and_force_lifts_it(self, capsys, tmp_path):
+        # C(30, 10) = 30,045,015 candidates are refused before the first draw;
+        # C(94, 3) = 134,044 is just over core.ENUMERATE_MAX_KSETS = 131,072.
+        path = tmp_path / "h5.json"
+        save(Hypergraph(30, 5, [(0, 1, 2, 3, 4)]), path)
+        code, rep = run_json(
+            capsys, "absorb", str(path), "--l", "3", "--a", "2", "--h", "3", "--rho", "1/5", "--seed", "1",
+        )
+        assert code == 2 and rep["error"]["type"] == "SizeLimitError"
+        assert "got C(30, 10) > 131072" in rep["error"]["message"]
+        path = tmp_path / "h3.json"
+        save(Hypergraph(94, 3, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(31)]), path)
+        absorb = ["absorb", str(path), "--l", "2", "--a", "1", "--h", "2", "--rho", "1/5", "--probes", "0"]
+        code, rep = run_json(capsys, *absorb)
+        assert code == 2 and "got C(94, 3) > 131072" in rep["error"]["message"]
+        code, rep = run_json(capsys, *absorb, "--force")
+        assert code == 0 and rep["results"]["diagnostics"]["p"] == str(Fraction(94, 5 * 134044))
+
+    def test_sweep_checks_its_largest_row_first(self, capsys):
+        # Row by row, this sweep ran to n = 31 before the matching budget ran out.
+        code, rep = run_json(capsys, "sweep", "--k", "3", "--l", "2", "--n-start", "6", "--n-end", "99")
+        assert code == 2 and rep["error"]["type"] == "SizeLimitError"
+        assert rep["error"]["message"].endswith("got C(99, 3) > 131072")
+
     def test_unknown_flag_is_domain_error(self, capsys, fano_file):
         code, rep = run_json(capsys, "nu", fano_file, "--nope")
         assert code == 1

@@ -3,12 +3,12 @@
 Whatever the flags hold, a run must end with a known exit code and a single
 JSON object on stdout; a nonzero exit carries a package error type. Hosts
 have n <= 8 and the usual sweep and suite values stay at n <= 10. A wild
-`--n-end` or `--n` (`--n-end 99` asks `sweep` for the barriers' matching
-numbers up to n = 99, `--n 99` asks the stability2 suite for `max_matching`
-on 99-vertex graphs) ends in a `SizeLimitError` once the matching search
-passes its work budget, instead of reaching an unguarded solver. A 6-digit
-`--n` ends the same way before any k-set is built: generators that enumerate
-the C(n, k) k-sets stop at `core.ENUMERATE_MAX_KSETS` unless `--force`.
+`--n` (`--n 99` asks the stability2 suite for `max_matching` on 99-vertex
+graphs) ends in a `SizeLimitError` once the matching search passes its work
+budget, instead of reaching an unguarded solver. A wild `--n-end` (99) or a
+6-digit `--n` ends the same way before any k-set is built: `sweep` checks
+its largest row up front, and generators that enumerate the C(n, k) k-sets
+stop at `core.ENUMERATE_MAX_KSETS` unless `--force`.
 """
 
 import io

@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypermatch import DomainError
+from hypermatch import DomainError, Hypergraph
+from hypermatch.pipeline import round1_sample
 from hypermatch.rng import (
+    _BLOCK,
+    TAG_ROUND1,
+    TAG_TRIM,
     CounterRng,
     bernoulli_subsets,
     combination_unrank,
@@ -103,10 +107,14 @@ def test_raw_chains_splitmix_from_the_seed():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 901, 2**64 - 1])
-@pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 3), Fraction(1)])
+@pytest.mark.parametrize(
+    "p", [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(1, comb(24, 4)), Fraction(5, 2), Fraction(-1, 10**9)]
+)
 def test_bernoulli_subsets_is_one_bernoulli_per_candidate(p, seed):
+    # C(24, 4) = 10,626 candidates fill 41 blocks and part of one more;
+    # C(5, 5) and C(3, 5) are the one- and zero-candidate streams.
     rng = CounterRng(seed)
-    for n, k in [(9, 3), (12, 2), (10, 4), (3, 5)]:
+    for n, k in [(9, 3), (12, 2), (10, 4), (3, 5), (5, 5), (24, 4)]:
         for tag in (1, 9):
             expected = [c for i, c in enumerate(combinations(range(n), k)) if rng.bernoulli(p, tag, i)]
             assert list(bernoulli_subsets(n, k, p, rng, tag)) == expected
@@ -124,3 +132,85 @@ def test_random_hypergraph_is_reproducible():
     c = random_hypergraph(8, 3, Fraction(1, 2), 124)
     assert a == b
     assert a != c  # overwhelmingly likely and frozen by the seed pair
+
+
+# ------------------------------------------- the block kernel against scalar draws
+
+COUNTS = [0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
+# p at and outside the ends of [0, 1], with odd and huge denominators;
+# 1/C(24, 4) is the family sampler's p on K24^(4) at rho = 1/24.
+KERNEL_PS = [
+    Fraction(0),
+    Fraction(1),
+    Fraction(1, comb(24, 4)),
+    Fraction(1, 3),
+    Fraction(5, 7),
+    Fraction(999, 1771),
+    Fraction(1, 2**53 + 1),
+    Fraction(2**64 - 1, 2**64 + 13),
+    Fraction(-1),
+    Fraction(-1, 10**9),
+    Fraction(5, 2),
+    Fraction(10**9 + 1, 10**9),
+]
+
+
+def scalar_flags(rng, p, count, *key):
+    return [int(rng.bernoulli(p, *key, i)) for i in range(count)]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("p", KERNEL_PS)
+def test_bernoulli_flags_equal_the_scalar_draws(p, seed):
+    rng = CounterRng(seed)
+    for count in COUNTS:
+        for key in [(1,), (TAG_ROUND1, 7), (2**64 + 3,)]:
+            assert list(rng.bernoulli_flags(p, count, *key)) == scalar_flags(rng, p, count, *key)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_bernoulli_flags_at_the_draws_own_boundary(seed):
+    # Random p almost never lands next to a draw; these p sit on either side
+    # of draw i's top 53 bits d, read as d / 2^53, so the keep test's rounding
+    # decides the flag.
+    rng = CounterRng(seed)
+    for i in range(_BLOCK + 3):
+        d = rng.raw(5, i) >> 11
+        for p in (Fraction(d, 2**53), Fraction(2 * d + 1, 2**54), Fraction(2 * d - 1, 2**54)):
+            assert list(rng.bernoulli_flags(p, i + 1, 5))[i] == rng.bernoulli(p, 5, i) == (p > Fraction(d, 2**53))
+
+
+@given(
+    st.integers(0, 3 * _BLOCK),
+    st.integers(-3, 2**70),
+    st.integers(1, 2**70),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**64 - 1),
+)
+def test_bernoulli_flags_equal_the_scalar_draws_at_random(count, num, den, seed, tag):
+    rng = CounterRng(seed)
+    p = Fraction(num, den)
+    assert list(rng.bernoulli_flags(p, count, tag)) == scalar_flags(rng, p, count, tag)
+
+
+def scalar_round1(H, copies, p, seed):
+    """round1_sample's copies as drawn one vertex at a time."""
+    rng = CounterRng(seed)
+    out = []
+    for i in range(copies):
+        kept = [v for v in range(H.n) if rng.bernoulli(p, TAG_ROUND1, i, v)]
+        for j in range(len(kept) % H.k):
+            kept.pop(rng.below(len(kept), TAG_TRIM, i, j))
+        out.append(tuple(kept))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 4), Fraction(2, 3), Fraction(1, 2**53 + 1), Fraction(1)])
+def test_round1_sample_equals_the_scalar_loop(p, seed):
+    for n in [3, 30, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]:
+        H = Hypergraph(n, 3, [(0, 1, 2)])
+        sample = round1_sample(H, 4, p, seed)
+        copies = scalar_round1(H, 4, p, seed)
+        assert sample.copies == copies
+        assert sample.y_singleton == tuple(sum(v in c for c in copies) for v in range(n))
