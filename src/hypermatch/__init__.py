@@ -19,7 +19,6 @@ from .core import (
     to_json,
 )
 from .constructions import (
-    build_clique_minus,
     build_parity,
     build_space_barrier,
     build_space_barrier_at,

@@ -226,7 +226,7 @@ def absorb(H: Hypergraph, family: AbsorbingFamily, S) -> AbsorbResult:
     vertex larger needs m + 1 rounds and raises.
     """
     params = family.params
-    s = vertex_subset(H, S)
+    s = vertex_subset(H.n, S)
     if set(s) & family.covered:
         raise DomainError("S must be disjoint from the family's vertices")
 

@@ -124,7 +124,14 @@ def cmd_construct(args):
             raise DomainError("parity needs --na and --nb")
         H = constructions.build_parity(args.na, args.nb, args.k, args.force)
     else:
-        H = constructions.build_clique_minus(args.n, args.k, args.force)
+        # Clique-minus is the full barrier whose cover side is the top n/k - 1 vertices.
+        n, k = args.n, args.k
+        if not 1 <= k <= n:
+            raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
+        if n % k:
+            raise DomainError(f"clique-minus needs k | n, got n={n}, k={k}")
+        barrier = constructions.build_space_barrier_at(n, k, k, range(n - n // k + 1, n), args.force)
+        H = core.Hypergraph(n, k, barrier.edges, name=f"clique-minus(n={n},k={k})")
     core.save(H, args.output)
     return {
         "claim": "extremal-construction",
@@ -139,7 +146,7 @@ def cmd_nu(args):
 
 def cmd_alpha(args):
     H = core.load(args.file)
-    return {"claim": "maximum-independent-set", "results": independence_number(H)}
+    return {"claim": "maximum-independent-set", "results": independence_number(H, force=args.force)}
 
 
 def cmd_berge(args):
@@ -435,7 +442,7 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="seed for randomized steps")
     force_help = (
-        "lift the berge size guard, nu's matching-search budget and the k-set "
+        "lift the berge size guard, the search budget of nu and alpha and the k-set "
         "enumeration guard of construct, stable-complete and absorb's family "
         "sampler; closest and fdense scan every candidate set"
     )

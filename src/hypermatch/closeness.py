@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import ceil, factorial
 
-from .constructions import barrier_edges, space_barrier_edge_count
+from .constructions import space_barrier_edge_count
 from .core import Hypergraph, _mask, vertex_subset
 from .errors import DomainError
 from .rng import TAG_SEARCH, TAG_SET_SAMPLE, CounterRng
@@ -37,20 +37,26 @@ class ClosenessReport:
 
 
 def barrier_deficit(H: Hypergraph, m: int, s: int, W) -> ClosenessReport:
-    """Count barrier edges absent from H, overall and per vertex."""
-    w = vertex_subset(H, W)
+    """Count barrier edges absent from H, overall and per vertex.
+
+    The barrier is never built. Its edge count is the closed form, and the
+    barrier degree of v is that count less the closed form on the n - 1
+    vertices other than v. One scan of H then takes off each barrier edge of H.
+    """
+    w = vertex_subset(H.n, W)
     if len(w) != m:
         raise DomainError(f"|W|={len(w)} does not match m={m}")
     if not 1 <= s <= H.k:
         raise DomainError(f"need 1 <= s <= k, got s={s}")
-    per_vertex = {v: 0 for v in range(H.n)}
-    deficit = 0
-    for e in barrier_edges(H.n, H.k, s, w):
-        if e not in H.edge_set:
-            deficit += 1
-            for v in e:
-                per_vertex[v] += 1
-    eps = Fraction(deficit, H.n**H.k) if H.n else Fraction(0)
+    n, k, w_mask = H.n, H.k, _mask(w)
+    deficit = space_barrier_edge_count(n, k, s, m)
+    degree = [deficit - space_barrier_edge_count(n - 1, k, s, m - inside) for inside in (0, 1)]
+    per_vertex = {v: degree[w_mask >> v & 1] for v in range(n)}
+    for e in _barrier_edges_of(H, s, w_mask):
+        deficit -= 1
+        for v in e:
+            per_vertex[v] -= 1
+    eps = Fraction(deficit, n**k) if n else Fraction(0)
     return ClosenessReport(deficit, eps, per_vertex)
 
 
@@ -81,13 +87,13 @@ def classify_good(H: Hypergraph, m: int, s: int, W, alpha: Fraction) -> Goodness
     return GoodnessReport(tuple(good), tuple(bad), alpha, bound, len(bad) <= bound)
 
 
+def _barrier_edges_of(H: Hypergraph, s: int, w_mask: int) -> list:
+    """The edges of H in the barrier: those meeting W (as a mask) 1 to s times."""
+    return [e for e, em in zip(H.edges, H.edge_masks) if 1 <= (em & w_mask).bit_count() <= s]
+
+
 def _deficit_of(H: Hypergraph, s: int, w_mask: int, barrier_total: int) -> int:
-    hits = 0
-    for em in H.edge_masks:
-        c = (em & w_mask).bit_count()
-        if 1 <= c <= s:
-            hits += 1
-    return barrier_total - hits
+    return barrier_total - len(_barrier_edges_of(H, s, w_mask))
 
 
 def closest_partition(

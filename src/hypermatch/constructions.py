@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .core import Hypergraph, check_enumeration
+from .core import Hypergraph, check_enumeration, vertex_subset
 from .errors import DomainError
 
 
@@ -51,10 +51,7 @@ def build_space_barrier_at(n: int, k: int, s: int, W, force: bool = False) -> Hy
         raise DomainError(f"need 1 <= s <= k, got s={s}, k={k}")
     if k > n:
         raise DomainError(f"need k <= n, got k={k}, n={n}")
-    W = tuple(W)
-    w = tuple(sorted(W))
-    if len(set(w)) != len(w) or (w and (w[0] < 0 or w[-1] >= n)):
-        raise DomainError(f"W={list(W)} is not a vertex subset of 0..{n - 1}")
+    w = vertex_subset(n, W)
     check_enumeration(n, k, force)
     name = f"H^{s}_{k}(n={n},|W|={len(w)})"
     return Hypergraph._canonical(n, k, barrier_edges(n, k, s, w), name=name)
@@ -86,15 +83,3 @@ def build_parity(na: int, nb: int, k: int, force: bool = False) -> Hypergraph:
         if in_a % 2 != na % 2:
             edges.append(e)
     return Hypergraph._canonical(n, k, edges, name=f"parity(|A|={na},|B|={nb},k={k})")
-
-
-def build_clique_minus(n: int, k: int, force: bool = False) -> Hypergraph:
-    """Complete k-graph with all edges inside the first n - n/k + 1 vertices removed."""
-    if k < 1 or n < k:
-        raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
-    if n % k != 0:
-        raise DomainError(f"clique-minus needs k | n, got n={n}, k={k}")
-    check_enumeration(n, k, force)
-    hole = n - n // k + 1
-    edges = [e for e in combinations(range(n), k) if e[-1] >= hole]
-    return Hypergraph._canonical(n, k, edges, name=f"clique-minus(n={n},k={k})")

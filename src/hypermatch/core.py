@@ -213,8 +213,8 @@ def complete_hypergraph(n: int, k: int) -> Hypergraph:
     return Hypergraph._canonical(n, k, combinations(range(n), k))
 
 
-def vertex_subset(H: Hypergraph, members: Iterable[int]) -> tuple:
-    """Normalize to a sorted tuple and validate against the host vertex range.
+def vertex_subset(n: int, members: Iterable[int]) -> tuple:
+    """Normalize to a sorted tuple and validate against the vertex range 0..n-1.
 
     Members follow the constructor's rule: only an int is a vertex (a bool,
     a float or a str is not), so every caller gets DomainError for them.
@@ -225,14 +225,14 @@ def vertex_subset(H: Hypergraph, members: Iterable[int]) -> tuple:
     t = tuple(sorted(raw))
     if len(set(t)) != len(t):
         raise DomainError(f"vertex set {list(raw)} has repeated members")
-    if t and (t[0] < 0 or t[-1] >= H.n):
-        raise DomainError(f"vertex set {list(t)} not contained in 0..{H.n - 1}")
+    if t and (t[0] < 0 or t[-1] >= n):
+        raise DomainError(f"vertex set {list(t)} not contained in 0..{n - 1}")
     return t
 
 
 def degree(H: Hypergraph, T: Iterable[int]) -> int:
     """Number of edges containing T; the empty set has degree e(H)."""
-    t = vertex_subset(H, T)
+    t = vertex_subset(H.n, T)
     if len(t) > H.k:
         raise DomainError(f"set larger than uniformity: |T|={len(t)} > k={H.k}")
     tm = _mask(t)
@@ -291,7 +291,7 @@ def induced(H: Hypergraph, S: Iterable[int]) -> Subgraph:
     same lex order. Both routes yield canonical edges over the checked,
     sorted vertex set s, so the subgraph is built by the trusted constructor.
     """
-    s = vertex_subset(H, S)
+    s = vertex_subset(H.n, S)
     k = H.k
     if comb(len(s), k) < H.num_edges:
         edge_set = H.edge_set
@@ -306,7 +306,7 @@ def induced(H: Hypergraph, S: Iterable[int]) -> Subgraph:
 
 def remove(H: Hypergraph, S: Iterable[int]) -> Subgraph:
     """H - S: induced subgraph on the complement of S."""
-    s = set(vertex_subset(H, S))
+    s = set(vertex_subset(H.n, S))
     return induced(H, [v for v in range(H.n) if v not in s])
 
 

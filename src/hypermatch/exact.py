@@ -14,7 +14,8 @@ fixed and documented:
   unless forced. The absorber test in absorbing runs the same search on a
   vertex subset of the host, with its edges scanned or looked up there.
 * independence_number adds vertices in index order, include branch first,
-  pruning a vertex whose inclusion completes an edge.
+  pruning a vertex whose inclusion completes an edge. It has the same node
+  budget as max_matching.
 * berge_deficiency scans cut sets W by increasing size, lexicographic within
   a size, keeping the first minimizer; it exits early once the running
   minimum matches a greedy (maximal-matching) lower bound, which never
@@ -75,7 +76,7 @@ def greedy_matching(H: Hypergraph) -> tuple:
     return tuple(out)
 
 
-MATCHING_MAX_NODES = 1 << 20  # child evaluations a matching search makes without force
+MATCHING_MAX_NODES = 1 << 20  # nodes the matching or independence search visits without force
 
 
 def max_matching(H: Hypergraph, force: bool = False) -> MatchingResult:
@@ -174,13 +175,15 @@ def _lex_least_matching(H: Hypergraph, full: int, starts: int, edges_at, force: 
     return witness
 
 
-def independence_number(H: Hypergraph) -> IndependenceResult:
+def independence_number(H: Hypergraph, force: bool = False) -> IndependenceResult:
     """Exact maximum independent set with the documented deterministic witness.
 
     The depth-first search keeps its own stack, so a host with many vertices
-    never meets Python's recursion limit.
+    never meets Python's recursion limit. Like max_matching, it stops with
+    SizeLimitError after MATCHING_MAX_NODES search nodes unless force is set.
     """
     n = H.n
+    limit = inf if force else MATCHING_MAX_NODES
     # For each vertex v, the edges whose largest vertex is v: the only edges a
     # prefix-built set can complete when v joins.
     by_max = [[] for _ in range(n)]
@@ -191,7 +194,14 @@ def independence_number(H: Hypergraph) -> IndependenceResult:
     # pushed under the include child, so nodes pop in the recursive preorder.
     best_size, best = -1, 0
     stack = [(0, 0, 0)]
+    nodes = 0
     while stack:
+        nodes += 1
+        if nodes > limit:
+            raise SizeLimitError(
+                f"the exact independence search enforces at most {limit} search "
+                f"nodes; n={n}, e={H.num_edges}"
+            )
         v, chosen, size = stack.pop()
         if size > best_size:
             best_size, best = size, chosen
@@ -208,7 +218,7 @@ def independence_number(H: Hypergraph) -> IndependenceResult:
 BERGE_MAX_N = 24
 
 
-def _odd_components(n: int, nbr: list, alive: int) -> int:
+def _odd_components(nbr: list, alive: int) -> int:
     count = 0
     rem = alive
     while rem:
@@ -252,7 +262,7 @@ def berge_deficiency(G: Hypergraph, force: bool = False) -> BergeCertificate:
         if best is not None and size > best.value:
             break  # every larger W has value >= |W| > current minimum
         for w in combinations(range(n), size):
-            odd = _odd_components(n, nbr, full & ~_mask(w))
+            odd = _odd_components(nbr, full & ~_mask(w))
             value = (n - odd + size) // 2
             if best is None or value < best.value:
                 best = BergeCertificate(w, odd, value)

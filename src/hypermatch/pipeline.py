@@ -109,7 +109,7 @@ def check_round1_properties(
     echoed in the report.
     """
     for D in deg_probes:
-        if len(vertex_subset(H, D)) > H.k:
+        if len(vertex_subset(H.n, D)) > H.k:
             raise DomainError(f"probe set larger than uniformity: |D|={len(D)} > k={H.k}")
     singleton_center = len(sample.copies) * sample.p
     singleton_halfwidth = default_halfwidth(singleton_center)

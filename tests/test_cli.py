@@ -21,6 +21,7 @@ from hypermatch import (
 )
 from hypermatch import exact
 from hypermatch.cli import main
+from hypermatch.rng import random_hypergraph
 
 
 def run(capsys, *argv):
@@ -496,6 +497,23 @@ class TestMatchingBudget:
         sweep = ["sweep", "--k", "3", "--l", "2", "--n-start", "9", "--n-end", "9", "--force"]
         code, rep = run_json(capsys, *sweep)
         assert code == 2 and rep["error"]["type"] == "SizeLimitError"
+
+    def test_sparse_graph_exceeds_the_alpha_budget(self, capsys, tmp_path):
+        # With --force the search runs for seconds and reports alpha = 18.
+        path = tmp_path / "g40.json"
+        save(random_hypergraph(40, 2, Fraction(1, 10), 0), path)
+        code, rep = run_json(capsys, "alpha", str(path))
+        assert code == 2 and rep["error"]["type"] == "SizeLimitError"
+        assert rep["error"]["message"].endswith("search nodes; n=40, e=72")
+
+    def test_force_lifts_the_budget_for_alpha_but_not_the_pipeline_gate(self, capsys, barrier_file, monkeypatch):
+        monkeypatch.setattr(exact, "MATCHING_MAX_NODES", 2)
+        code, rep = run_json(capsys, "alpha", barrier_file)
+        assert code == 2 and "independence search" in rep["error"]["message"]
+        code, rep = run_json(capsys, "alpha", barrier_file, "--force")
+        assert code == 0 and rep["parameters"]["force"] is True and rep["results"]["size"] == 7
+        code, rep = run_json(capsys, "pipeline", barrier_file, "--copies", "1", "--p", "1", "--force")
+        assert code == 2 and "independence search" in rep["error"]["message"]
 
 
 class TestReportDiscipline:

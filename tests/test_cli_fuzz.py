@@ -2,13 +2,19 @@
 
 Whatever the flags hold, a run must end with a known exit code and a single
 JSON object on stdout; a nonzero exit carries a package error type. Hosts
-have n <= 8 and the usual sweep and suite values stay at n <= 10. A wild
-`--n` (`--n 99` asks the stability2 suite for `max_matching` on 99-vertex
-graphs) ends in a `SizeLimitError` once the matching search passes its work
-budget, instead of reaching an unguarded solver. A wild `--n-end` (99) or a
-6-digit `--n` ends the same way before any k-set is built: `sweep` checks
-its largest row up front, and generators that enumerate the C(n, k) k-sets
-stop at `core.ENUMERATE_MAX_KSETS` unless `--force`.
+have n <= 8 and the usual sweep and suite values stay at n <= 10. Wild
+values are capped per flag: a digit string has at most 3 characters on the
+count flags (`--copies`, `--trials`, `--probes`, `--search-trials`), whose
+work grows linearly with the value (`pipeline --copies 30000` takes about
+half a minute), and at most 6 on every other flag, the size flags `--n`,
+`--n-end`, `--m` and `--k` among them. Junk, negative, empty and p/q values
+reach every flag. A wild `--n` (`--n 99` asks the stability2 suite for
+`max_matching` on 99-vertex graphs) ends in a `SizeLimitError` once the
+matching search passes its work budget, instead of reaching an unguarded
+solver. A wild `--n-end` (99) or a 6-digit `--n` ends the same way before
+any k-set is built: `sweep` checks its largest row up front, and generators
+that enumerate the C(n, k) k-sets stop at `core.ENUMERATE_MAX_KSETS` unless
+`--force`.
 """
 
 import io
@@ -52,13 +58,21 @@ def one(*values):
     return st.sampled_from(values)
 
 
-# Any flag but -o may instead get a wild value: a bounded int, a p/q string or junk.
-wild = (
-    st.integers(-3, 9).map(str)
-    | st.builds(lambda p, q: f"{p}/{q}", st.integers(-2, 9), st.integers(0, 9))
-    | one("", "x", "1.5", "nan", "1,,2", "ü")
-    | st.text(alphabet="0123456789,/- x", max_size=6)
-)
+def wild(digits):
+    """A wild flag value: a bounded int, a p/q string, junk, or up to `digits` characters."""
+    return (
+        st.integers(-3, 9).map(str)
+        | st.builds(lambda p, q: f"{p}/{q}", st.integers(-2, 9), st.integers(0, 9))
+        | one("", "x", "1.5", "nan", "1,,2", "ü")
+        | st.text(alphabet="0123456789,/- x", max_size=digits)
+    )
+
+
+# Any flag but -o may instead get a wild value. A count flag asks for work
+# linear in its value, so its wild strings stop at 3 digits; every other flag
+# may get 6.
+COUNT_FLAGS = {"--copies", "--trials", "--probes", "--search-trials"}
+wild_count, wild_other = wild(3), wild(6)
 vertex_sets = st.lists(st.integers(0, 8), max_size=5, unique=True).map(lambda vs: ",".join(map(str, vs)))
 files = one(*FILES)
 outputs = one(*OUTPUTS)
@@ -118,7 +132,8 @@ def argvs(draw, command):
         elif flag == "-o":  # a wild value would write outside the host directory
             argv += [flag, draw(values)]
         else:
-            argv += [flag, draw(wild if draw(st.integers(0, 5)) == 0 else values)]
+            wild_values = wild_count if flag in COUNT_FLAGS else wild_other
+            argv += [flag, draw(wild_values if draw(st.integers(0, 5)) == 0 else values)]
     return argv
 
 

@@ -1,5 +1,8 @@
+import json
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
+from time import perf_counter
 
 import pytest
 from hypothesis import given
@@ -16,11 +19,22 @@ from hypermatch import (
     complete_hypergraph,
     f_density_check,
 )
+from hypermatch.cli import main
 from hypermatch.closeness import exhaustive
 from hypermatch.core import induced
-from hypermatch.rng import random_hypergraph
+from hypermatch.rng import CounterRng, random_hypergraph
 
 seeds = st.integers(0, 10**9)
+
+
+def oracle_deficits(H, s, W):
+    """Per-vertex deficits from all C(n, k) k-sets: the barrier edges missing from H."""
+    per_vertex = dict.fromkeys(range(H.n), 0)
+    for e in combinations(range(H.n), H.k):
+        if 1 <= len(set(W).intersection(e)) <= s and e not in H.edge_set:
+            for v in e:
+                per_vertex[v] += 1
+    return per_vertex
 
 
 class TestBarrierDeficit:
@@ -46,6 +60,39 @@ class TestBarrierDeficit:
         H = complete_hypergraph(6, 3)
         with pytest.raises(DomainError):
             barrier_deficit(H, 2, 3, (0, 1, 2))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_an_oracle_that_builds_the_barrier(self, k):
+        # Random hosts of every density, n = 0 included, every m from 0 to n
+        # on a seeded W and every s from 1 to k.
+        for seed in range(3):
+            rng = CounterRng(seed)
+            for n in range(0, 10):
+                for p in (Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1)):
+                    H = random_hypergraph(n, k, p, seed)
+                    for m in range(n + 1):
+                        W = rng.sample(list(range(n)), m, n, m)
+                        for s in range(1, k + 1):
+                            rep = barrier_deficit(H, m, s, W)
+                            per_vertex = oracle_deficits(H, s, W)
+                            assert rep.per_vertex_deficits == per_vertex
+                            assert list(rep.per_vertex_deficits) == list(range(n))
+                            assert rep.deficit * k == sum(per_vertex.values())
+                            assert rep.epsilon_effective == (Fraction(rep.deficit, n**k) if n else 0)
+
+    def test_large_sparse_host_builds_no_barrier(self, capsys, tmp_path):
+        # The barrier here has C(200, 4) - C(100, 4) edges, about 6 * 10^7.
+        path = tmp_path / "sparse.json"
+        path.write_text('{"n":200,"k":4,"edges":[[0,1,2,3]]}')
+        start = perf_counter()
+        code = main(["closeness", str(path), "--m", "100", "--s", "4"])
+        elapsed = perf_counter() - start
+        rep = json.loads(capsys.readouterr().out)
+        assert code == 0 and elapsed < 1
+        assert rep["results"]["deficit"] == comb(200, 4) - comb(100, 4) - 1 == 60_763_724
+        per_vertex = rep["results"]["per_vertex_deficits"]
+        assert per_vertex["0"] == comb(199, 3) - 1 and per_vertex["99"] == comb(199, 3)
+        assert per_vertex["100"] == comb(199, 3) - comb(99, 3)
 
 
 class TestClassifyGood:

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 from math import comb
 
@@ -5,7 +6,7 @@ import pytest
 
 from hypermatch import (
     DomainError,
-    build_clique_minus,
+    Hypergraph,
     build_parity,
     build_space_barrier,
     build_space_barrier_at,
@@ -14,7 +15,9 @@ from hypermatch import (
     min_l_degree,
     space_barrier_edge_count,
     threshold_formula,
+    to_json,
 )
+from hypermatch.cli import main
 
 
 def test_comb0_convention():
@@ -71,6 +74,12 @@ class TestSpaceBarrier:
         with pytest.raises(DomainError):
             build_space_barrier_at(5, 3, 3, (0, 0))
 
+    @pytest.mark.parametrize("W", [(0, 0), (True, 3), (1.0, 3), (3, 5), (-1, 3)])
+    def test_cover_side_follows_the_vertex_set_rule(self, W):
+        # core's rule, the one barrier_deficit applies: only ints, no repeats, inside 0..n-1.
+        with pytest.raises(DomainError, match="^vertex set "):
+            build_space_barrier_at(5, 3, 3, W)
+
 
 class TestThresholdFormula:
     def test_reference_values(self):
@@ -118,12 +127,36 @@ class TestParity:
                 build_parity(4, 3, k)
 
 
-class TestCliqueMinus:
-    def test_counts(self):
-        assert build_clique_minus(6, 3).num_edges == comb(6, 3) - comb(5, 3) == 10
-        assert build_clique_minus(3, 3).num_edges == 0
-        assert build_clique_minus(6, 2).num_edges == comb(6, 2) - comb(4, 2) == 9
+def construct_clique_minus(capsys, tmp_path, n, k, *flags):
+    """Run `construct --family clique-minus`; (exit code, report, file text or None)."""
+    path = tmp_path / f"clique-minus-{n}-{k}.json"
+    argv = ["construct", "--family", "clique-minus", "--n", str(n), "--k", str(k), "-o", str(path), *flags]
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    return code, report, path.read_text() if path.exists() else None
 
-    def test_divisibility_required(self):
-        with pytest.raises(DomainError):
-            build_clique_minus(7, 3)
+
+class TestCliqueMinus:
+    """Clique-minus is the full barrier H^k_k whose cover side is the top n/k - 1 vertices."""
+
+    def test_counts(self, capsys, tmp_path):
+        for n, k, edges in [(6, 3, 10), (3, 3, 0), (6, 2, 9)]:
+            code, report, _ = construct_clique_minus(capsys, tmp_path, n, k)
+            assert code == 0 and report["results"]["edge_count"] == edges
+        assert comb(6, 3) - comb(5, 3) == 10 and comb(6, 2) - comb(4, 2) == 9
+
+    def test_divisibility_required(self, capsys, tmp_path):
+        code, report, text = construct_clique_minus(capsys, tmp_path, 7, 3)
+        assert code == 1 and text is None
+        assert report["error"] == {"type": "DomainError", "message": "clique-minus needs k | n, got n=7, k=3"}
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_file_is_the_complete_graph_minus_a_clique_byte_for_byte(self, capsys, tmp_path, k):
+        # The definition the family had as a generator of its own: every
+        # k-set reaching past the first n - n/k + 1 vertices.
+        for n in range(k, 17, k):
+            hole = n - n // k + 1
+            edges = [e for e in combinations(range(n), k) if e[-1] >= hole]
+            expected = to_json(Hypergraph(n, k, edges, name=f"clique-minus(n={n},k={k})"))
+            assert construct_clique_minus(capsys, tmp_path, n, k)[2] == expected, (n, k)
+            assert build_space_barrier_at(n, k, k, range(hole, n)).edges == tuple(edges)

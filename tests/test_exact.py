@@ -86,6 +86,14 @@ class TestIndependenceNumber:
         assert res.size == 7
         assert res.witness == tuple(range(2, 9))
 
+    def test_budget_raises_and_force_lifts_it(self, monkeypatch):
+        H = build_space_barrier(9, 3, 3, 2)
+        expected = independence_number(H)
+        monkeypatch.setattr(exact, "MATCHING_MAX_NODES", 5)
+        with pytest.raises(SizeLimitError, match="at most 5 search nodes; n=9, e=49$"):
+            independence_number(H)
+        assert independence_number(H, force=True) == expected == (7, tuple(range(2, 9)))
+
 
 class TestBerge:
     def test_k4(self):
