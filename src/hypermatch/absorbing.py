@@ -97,7 +97,7 @@ def _matching_in(H: Hypergraph, X, t: int) -> tuple:
         starts = _mask(v for i, v in enumerate(xs)
                        if any((v, *c) in edge_set for c in combinations(xs[i + 1 :], k - 1)))
     else:
-        starts, edges_at = _edges_by_start(H, full)
+        starts, edges_at = _edges_by_start(filter(frozenset(xs).issuperset, H.edges))
     witness = _lex_least_matching(H, full, starts, edges_at, False)
     return tuple(witness[:t]) if len(witness) >= t else ()
 

@@ -52,10 +52,11 @@ def barrier_deficit(H: Hypergraph, m: int, s: int, W) -> ClosenessReport:
     deficit = space_barrier_edge_count(n, k, s, m)
     degree = [deficit - space_barrier_edge_count(n - 1, k, s, m - inside) for inside in (0, 1)]
     per_vertex = {v: degree[w_mask >> v & 1] for v in range(n)}
-    for e in _barrier_edges_of(H, s, w_mask):
-        deficit -= 1
-        for v in e:
-            per_vertex[v] -= 1
+    for e in H.edges:
+        if 1 <= (_mask(e) & w_mask).bit_count() <= s:
+            deficit -= 1
+            for v in e:
+                per_vertex[v] -= 1
     eps = Fraction(deficit, n**k) if n else Fraction(0)
     return ClosenessReport(deficit, eps, per_vertex)
 
@@ -87,13 +88,13 @@ def classify_good(H: Hypergraph, m: int, s: int, W, alpha: Fraction) -> Goodness
     return GoodnessReport(tuple(good), tuple(bad), alpha, bound, len(bad) <= bound)
 
 
-def _barrier_edges_of(H: Hypergraph, s: int, w_mask: int) -> list:
-    """The edges of H in the barrier: those meeting W (as a mask) 1 to s times."""
-    return [e for e, em in zip(H.edges, H.edge_masks) if 1 <= (em & w_mask).bit_count() <= s]
-
-
-def _deficit_of(H: Hypergraph, s: int, w_mask: int, barrier_total: int) -> int:
-    return barrier_total - len(_barrier_edges_of(H, s, w_mask))
+def _deficit_of(masks: list, s: int, w_mask: int, barrier_total: int) -> int:
+    """barrier_total less the edge masks that meet W (as a mask) 1 to s times."""
+    hits = 0
+    for em in masks:
+        if 1 <= (em & w_mask).bit_count() <= s:
+            hits += 1
+    return barrier_total - hits
 
 
 def closest_partition(
@@ -115,10 +116,11 @@ def closest_partition(
     if not 1 <= s <= H.k:
         raise DomainError(f"need 1 <= s <= k, got s={s}")
     barrier_total = space_barrier_edge_count(H.n, H.k, s, m)
+    masks = list(map(_mask, H.edges))
     if exhaustive(H.n, force):
         best_w, best_d = None, None
         for w in combinations(range(H.n), m):
-            d = _deficit_of(H, s, _mask(w), barrier_total)
+            d = _deficit_of(masks, s, _mask(w), barrier_total)
             if best_d is None or d < best_d:
                 best_w, best_d = w, d
                 if d == 0:
@@ -130,7 +132,7 @@ def closest_partition(
     for r in range(CLOSEST_RESTARTS):
         w = sorted(rng.sample(list(range(H.n)), m, TAG_SEARCH, r))
         wm = _mask(w)
-        d = _deficit_of(H, s, wm, barrier_total)
+        d = _deficit_of(masks, s, wm, barrier_total)
         improved = True
         while improved:
             improved = False
@@ -138,7 +140,7 @@ def closest_partition(
             for v in list(w):
                 for u in out_side:
                     cand = wm ^ (1 << v) | (1 << u)
-                    cd = _deficit_of(H, s, cand, barrier_total)
+                    cd = _deficit_of(masks, s, cand, barrier_total)
                     if cd < d:
                         wm, d = cand, cd
                         w = [x for x in range(H.n) if wm >> x & 1]
@@ -173,7 +175,7 @@ def f_density_check(
     floor_frac = (1 - Fraction(1, k) - eps / 4) * n
     size = max(0, ceil(floor_frac))
     need = eps * H.num_edges / (2 * factorial(k))
-    masks = H.edge_masks
+    masks = list(map(_mask, H.edges))
 
     def induced_count(am: int) -> int:
         return sum(1 for em in masks if em & am == em)

@@ -8,8 +8,8 @@ Conventions used throughout the package:
 * Hypergraph values are immutable after construction, so they are safe to
   share between parallel workers; all operations here are pure functions.
 
-Each edge is also backed by an integer bitmask, since subset and disjointness
-tests dominate every solver in the package.
+A Hypergraph stores its edges and their set only; a solver whose subset and
+disjointness tests are hot builds bitmasks of the edges it scans, once per call.
 
 There are two ways to build a Hypergraph. The public constructor trusts
 nothing: host files (`load`, `from_json`), the stable completion and every
@@ -38,7 +38,7 @@ from .errors import DomainError, SizeLimitError
 
 ENUMERATE_MAX_KSETS = 1 << 17  # most k-subsets a guarded generator enumerates without force
 _MAX_VERTICES = 1 << 20  # solvers keep per-vertex tables
-_MAX_MASK_BITS = 1 << 28  # an edge is a mask as wide as its largest vertex: 32 MiB in all
+_MAX_MASK_BITS = 1 << 28  # a solver masks an edge in as many bits as its largest vertex: 32 MiB
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -64,17 +64,13 @@ def _check_mask_bits(last_vertices: Iterable[int]) -> None:
                              "the sum of each edge's largest vertex")
 
 
-def _index(edges: list | tuple) -> tuple:
-    """(edge_masks, edge_set) of a list or tuple of edges."""
-    return tuple(map(_mask, edges)), frozenset(edges)
-
-
 def _bulk_checked(n: int, k: int, edges: list):
-    """(edges, edge_masks, edge_set) if every edge is a list or tuple of k
-    distinct ints in 0..n-1 and no edge repeats, else None.
+    """(edges, edge_set) if every edge is a list or tuple of k distinct ints
+    in 0..n-1 and no edge repeats, else None.
 
     Each check is one pass over all edges or all vertices at C speed; an edge
-    is sorted only when some column of the input is not strictly increasing.
+    is sorted only when some column of the input is not strictly increasing,
+    and its vertices are distinct when the sorted columns are.
     """
     if not set(map(type, edges)) <= {list, tuple} or not set(map(len, edges)) <= {k}:
         return None
@@ -84,15 +80,17 @@ def _bulk_checked(n: int, k: int, edges: list):
     if not all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])):
         edges = list(map(sorted, edges))
         cols = list(zip(*edges))
+        if not all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])):
+            return None
     if cols and (min(cols[0]) < 0 or max(cols[-1]) >= n):
         return None
     _check_mask_bits(cols[-1] if cols else ())
     del cols  # k columns of e vertices each: freed before the edges are built
     canon = sorted(map(tuple, edges))
-    masks, edge_set = _index(canon)
-    if len(edge_set) < len(canon) or not set(map(int.bit_count, masks)) <= {k}:
+    edge_set = frozenset(canon)
+    if len(edge_set) < len(canon):
         return None
-    return tuple(canon), masks, edge_set
+    return tuple(canon), edge_set
 
 
 def _walked(n: int, k: int, edges: list) -> tuple:
@@ -126,7 +124,7 @@ class Hypergraph:
     rejected rather than silently merged, so generator bugs stay visible.
     """
 
-    __slots__ = ("n", "k", "edges", "name", "edge_masks", "edge_set")
+    __slots__ = ("n", "k", "edges", "name", "edge_set")
 
     def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]], name: str | None = None):
         _check_shape(n, k)
@@ -134,7 +132,7 @@ class Hypergraph:
         checked = _bulk_checked(n, k, edges)
         if checked is None:
             canon = _walked(n, k, edges)
-            checked = (canon, *_index(canon))
+            checked = (canon, frozenset(canon))
         self._fill(n, k, name, *checked)
 
     @classmethod
@@ -145,15 +143,14 @@ class Hypergraph:
         _check_shape(n, k)
         H = object.__new__(cls)
         edges = tuple(edges)
-        H._fill(n, k, name, edges, *_index(edges))
+        H._fill(n, k, name, edges, frozenset(edges))
         return H
 
-    def _fill(self, n, k, name, edges, edge_masks, edge_set) -> None:
+    def _fill(self, n, k, name, edges, edge_set) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "edge_masks", edge_masks)
         object.__setattr__(self, "edge_set", edge_set)
 
     def __setattr__(self, key, value):
@@ -235,8 +232,7 @@ def degree(H: Hypergraph, T: Iterable[int]) -> int:
     t = vertex_subset(H.n, T)
     if len(t) > H.k:
         raise DomainError(f"set larger than uniformity: |T|={len(t)} > k={H.k}")
-    tm = _mask(t)
-    return sum(1 for em in H.edge_masks if em & tm == tm)
+    return sum(map(frozenset(t).issubset, H.edges))
 
 
 def min_l_degree(H: Hypergraph, l: int) -> int:
@@ -286,7 +282,7 @@ def induced(H: Hypergraph, S: Iterable[int]) -> Subgraph:
     """H[S]: keep exactly the edges inside S, relabeled to 0..|S|-1.
 
     When C(|S|, k) < e(H), each k-subset of S is looked up in the host's edge
-    set; otherwise the host's edges are scanned against S's mask. Either way
+    set; otherwise each host edge is tested against S as a set. Either way
     the cost is the smaller of the two counts, and the edges come out in the
     same lex order. Both routes yield canonical edges over the checked,
     sorted vertex set s, so the subgraph is built by the trusted constructor.
@@ -298,9 +294,8 @@ def induced(H: Hypergraph, S: Iterable[int]) -> Subgraph:
         pairs = zip(combinations(range(len(s)), k), combinations(s, k))
         out = [new for new, old in pairs if old in edge_set]
     else:
-        sm = _mask(s)
         new_of = {old: i for i, old in enumerate(s)}
-        out = [tuple(new_of[v] for v in e) for e, em in zip(H.edges, H.edge_masks) if em & sm == em]
+        out = [tuple(map(new_of.__getitem__, e)) for e in filter(frozenset(s).issuperset, H.edges)]
     return Subgraph(Hypergraph._canonical(len(s), k, out), s)
 
 

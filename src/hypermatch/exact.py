@@ -69,7 +69,7 @@ def greedy_matching(H: Hypergraph) -> tuple:
     """Maximal matching from a lexicographic scan; a deterministic lower bound."""
     covered = 0
     out = []
-    for e, em in zip(H.edges, H.edge_masks):
+    for e, em in zip(H.edges, map(_mask, H.edges)):
         if not em & covered:
             covered |= em
             out.append(e)
@@ -102,17 +102,16 @@ def max_matching(H: Hypergraph, force: bool = False) -> MatchingResult:
     past it SizeLimitError is raised unless force is set.
     """
     full = (1 << H.n) - 1
-    witness = _lex_least_matching(H, full, *_edges_by_start(H, full), force)
+    witness = _lex_least_matching(H, full, *_edges_by_start(H.edges), force)
     return MatchingResult(len(witness), tuple(witness))
 
 
-def _edges_by_start(H: Hypergraph, full: int) -> tuple:
-    """(starts, edges_at) for _lex_least_matching from one scan of H's edges:
-    the edges inside the vertex mask full, listed by least vertex."""
+def _edges_by_start(edges) -> tuple:
+    """(starts, edges_at) for _lex_least_matching from one pass over edges,
+    given in lex order: each edge with its mask, listed by least vertex."""
     starts_at: dict = {}
-    for e, m in zip(H.edges, H.edge_masks):
-        if m & full == m:
-            starts_at.setdefault(e[0], []).append((e, m))
+    for e in edges:
+        starts_at.setdefault(e[0], []).append((e, _mask(e)))
     return _mask(starts_at), lambda v, dead: starts_at.get(v, ())
 
 
@@ -122,8 +121,9 @@ def _lex_least_matching(H: Hypergraph, full: int, starts: int, edges_at, force: 
 
     edges_at(v, dead) yields, in lex order, (edge, mask) for every edge of
     H[full] that starts at v and avoids dead; edges that meet dead may be
-    yielded too and are skipped. starts masks the vertices at which an edge
-    of H[full] starts. The budget and its SizeLimitError are max_matching's.
+    yielded too and are skipped. The caller builds those masks, since H
+    stores none. starts masks the vertices at which an edge of H[full]
+    starts. The budget and its SizeLimitError are max_matching's.
     """
     k = H.k
     limit = inf if force else MATCHING_MAX_NODES
@@ -134,7 +134,7 @@ def _lex_least_matching(H: Hypergraph, full: int, starts: int, edges_at, force: 
         nonlocal evaluations
         evaluations += 1
         if evaluations > limit:
-            e = sum(m & full == m for m in H.edge_masks)
+            e = sum(m & full == m for m in map(_mask, H.edges))
             raise SizeLimitError(
                 f"the exact matching search enforces at most {limit} search "
                 f"evaluations; n={full.bit_count()}, e={e}"
@@ -187,8 +187,8 @@ def independence_number(H: Hypergraph, force: bool = False) -> IndependenceResul
     # For each vertex v, the edges whose largest vertex is v: the only edges a
     # prefix-built set can complete when v joins.
     by_max = [[] for _ in range(n)]
-    for e, em in zip(H.edges, H.edge_masks):
-        by_max[e[-1]].append(em)
+    for e in H.edges:
+        by_max[e[-1]].append(_mask(e))
 
     # A node is (next vertex, chosen mask, its size); the exclude child is
     # pushed under the include child, so nodes pop in the recursive preorder.

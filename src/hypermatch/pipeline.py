@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations, compress
 
 from .constructions import comb0
-from .core import Hypergraph, induced, vertex_subset
+from .core import Hypergraph, _mask, induced, vertex_subset
 from .errors import CertificationError, DomainError, PipelineError
 from .exact import independence_number
 from .fractional import fractional_optimum
@@ -218,7 +218,7 @@ def greedy_low_degradation_matching(H: Hypergraph) -> tuple:
     degrades the surviving degrees least (min over edges of the max, over
     outside vertices, of incident available edges killed), ties lexicographic.
     """
-    available = list(zip(H.edges, H.edge_masks))
+    available = list(zip(H.edges, map(_mask, H.edges)))
     out = []
     while available:
         best = None

@@ -117,6 +117,7 @@ MALFORMED = [
     ([0, 1], "edge [0, 1] does not have exactly 3 distinct vertices"),
     ([0, 1, 2, 3], "edge [0, 1, 2, 3] does not have exactly 3 distinct vertices"),
     ([2, 1, 1], "edge [2, 1, 1] does not have exactly 3 distinct vertices"),
+    ([1, 1, 2], "edge [1, 1, 2] does not have exactly 3 distinct vertices"),
     ([-1, 0, 2], "edge [-1, 0, 2] has vertices outside 0..4"),
     ([2, 0, -1], "edge [-1, 0, 2] has vertices outside 0..4"),
     ([0, 1, 5], "edge [0, 1, 5] has vertices outside 0..4"),
@@ -142,6 +143,34 @@ def test_duplicate_edges_name_the_least_duplicate():
         with pytest.raises(DomainError) as info:
             Hypergraph(5, 3, given)
         assert str(info.value) == "duplicate edge [0, 1, 2]"
+
+
+# (n, k, edges, the DomainError text or None for a valid input). Every edge is
+# a list or tuple of ints, so the bulk check sees each input whole: it must
+# refuse every bad one, for the one-by-one walk to name the fault.
+BULK_PATH = [
+    (5, 3, [*GOOD, [1, 1, 2]], "edge [1, 1, 2] does not have exactly 3 distinct vertices"),
+    (5, 3, [*GOOD, (4, 0, 4)], "edge [4, 0, 4] does not have exactly 3 distinct vertices"),
+    (5, 3, [*GOOD, [4, 3, 1]], "duplicate edge [1, 3, 4]"),
+    (5, 3, [*GOOD, [4, 0, 1]], None),
+    (4, 1, [[2], [0], (3,)], None),
+    (4, 1, [[2], [0], [2]], "duplicate edge [2]"),
+    (5, 2, [[3, 3]], "edge [3, 3] does not have exactly 2 distinct vertices"),
+    (5, 2, [[4, 1], (0, 3)], None),
+]
+
+
+@pytest.mark.parametrize("n, k, edges, message", BULK_PATH, ids=[f"bulk-{i}" for i in range(len(BULK_PATH))])
+def test_bulk_check_refuses_every_input_the_walk_refuses(n, k, edges, message):
+    checked = core._bulk_checked(n, k, edges)
+    if message is None:
+        canon = core._walked(n, k, edges)
+        assert checked == (canon, frozenset(canon))
+        return
+    assert checked is None
+    with pytest.raises(DomainError) as info:
+        Hypergraph(n, k, edges)
+    assert str(info.value) == message
 
 
 def test_any_iterable_of_vertices_is_an_edge():
@@ -208,8 +237,8 @@ def test_guard_sits_above_every_host_the_tests_and_benchmark_build():
 
 
 def test_vertex_count_is_capped_before_any_work():
-    # Each edge is an n-bit mask, so a huge n is refused up front, by every
-    # constructor and generator, not met as a MemoryError later.
+    # A solver's mask of an edge is up to n bits wide, so a huge n is refused
+    # up front, by every constructor and generator, not met as a MemoryError later.
     cap = core._MAX_VERTICES
     assert Hypergraph(cap, 2, [(0, cap - 1)]).num_edges == 1
     for build in (

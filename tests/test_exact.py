@@ -20,6 +20,7 @@ from hypermatch import (
     validate_matching,
 )
 from hypermatch import exact
+from hypermatch.core import _mask
 from hypermatch.exact import MatchingResult
 from hypermatch.rng import random_hypergraph
 from hypermatch.stability import random_stable_hypergraph
@@ -188,10 +189,11 @@ def brute_max_matching(H):
 
 def brute_max_independent_set(H):
     # The lex-least largest vertex set that contains no edge.
+    masks = list(map(_mask, H.edges))
     for size in range(H.n, -1, -1):
         for S in combinations(range(H.n), size):
             sm = sum(1 << v for v in S)
-            if all(em & sm != em for em in H.edge_masks):
+            if all(em & sm != em for em in masks):
                 return S
     return ()
 
@@ -237,7 +239,7 @@ def bnb_max_matching(H):
     k = H.k
     full = (1 << H.n) - 1
     starts_at = [[] for _ in range(H.n)]
-    for e, m in zip(H.edges, H.edge_masks):
+    for e, m in zip(H.edges, map(_mask, H.edges)):
         starts_at[e[0]].append((e, m))
 
     best: list = []
