@@ -1,9 +1,12 @@
 """Reports render the library's result types: golden JSON and CSV field order.
 
 `golden_reports.json` maps each command line below to the exact stdout it
-printed when the handlers still copied result fields into dicts by hand.
-Hosts are written under relative names, so the echoed `file` parameter does
-not depend on where the test runs.
+printed when the handlers still copied result fields into dicts by hand
+(`CASES` up to the absorb lines), or when every command still built its own
+parser, loaded its own host and wrapped its own report (the rest, with
+`CSV_CASE` and `ERROR_CASES`). Hosts and outputs are written under relative
+names, so the echoed `file` and `output` parameters do not depend on where
+the test runs.
 """
 
 import json
@@ -38,7 +41,32 @@ CASES = [
     "absorb k12.json --l 2 --a 1 --h 2 --rho 1/4 --seed 3 --probes 5",
     "absorb k12.json --l 2 --a 1 --h 2 --rho 1/4 --seed 3 --probes 0 --absorb-set 6,8,11",
     "absorb barrier.json --l 2 --a 1 --h 2 --rho 1/3 --seed 1 --probes 10",
+    "construct --family space-barrier --n 9 --k 3 --s 3 --m 2 -o sb.json",
+    "construct --family parity --na 4 --nb 3 --k 3 -o par.json",
+    "construct --family clique-minus --n 9 --k 3 -o cm.json",
+    "degrees barrier.json --l 2",
+    "degrees barrier.json --set 0,3",
+    "fractional fano.json",
+    "stable-complete fano.json -o completed.json",
+    "shadow fano.json",
+    "closest barrier.json --m 2 --s 3",
+    "fdense barrier.json --eps 1/2",
+    "pipeline k12.json --copies 8 --p 1/2 --seed 2 --sigma 1/2",
+    "round1 k12.json --copies 2 --p 1/2 --seed 1",
+    "round1 k12.json --copies 2 --p 1/2 --seed 1 --probe-set 0,1 --probe-set 2,3,4",
+    "sparsify k12.json --copies 6 --p 2/3 --seed 5 -o sparse.json",
+    *(f"verify --suite {suite} --trials 3 --seed 4" for suite in ("katona", "frankl", "stability2")),
+    "sweep --k 3 --l 2 --n-start 9 --n-end 10 --m-list 1,2 --search-trials 2 --seed 5",
 ]
+
+CSV_CASE = "round1 k12.json --copies 2 --p 1/2 --seed 1 --probe-set 0,1 --format csv"
+
+# Error reports, each with the exit code it pins.
+ERROR_CASES = {
+    "nu missing.json": 1,
+    "sweep --k 3 --l 2 --n-start 6 --n-end 99": 2,
+    "pipeline graph.json --copies 1 --p 1": 3,
+}
 
 
 @pytest.fixture
@@ -71,11 +99,21 @@ def json_fields(value, path=""):
     return [f for k, v in items for f in json_fields(v, f"{path}.{k}" if path else str(k))]
 
 
-@pytest.mark.parametrize("line", CASES)
+def golden(line):
+    return json.loads(GOLDEN.read_text())[line]
+
+
+@pytest.mark.parametrize("line", [*CASES, CSV_CASE])
 def test_report_matches_golden(capsys, host_dir, line):
     code, out = run(capsys, line)
     assert code == 0
-    assert out == json.loads(GOLDEN.read_text())[line]
+    assert out == golden(line)
+
+
+@pytest.mark.parametrize("line", ERROR_CASES)
+def test_error_report_matches_golden(capsys, host_dir, line):
+    code, out = run(capsys, line)
+    assert (code, out) == (ERROR_CASES[line], golden(line))
 
 
 @pytest.mark.parametrize("line", CASES)
