@@ -9,12 +9,19 @@ pipeline or absorption.
 
 Rational-valued flags are parsed as p/q strings; nothing here accepts a
 float. Reports are data: rendering and plotting belong downstream.
+
+Wiring: the argparse tree is built once per process, on the first `main`
+call rather than at import, so importing the package stays cheap. A file
+command's handler receives the host read from its `file` argument, before it
+checks any flag of its own, and then the parsed arguments; every handler
+returns `(claim, results)`, and only `main` builds the report around them.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -133,114 +140,80 @@ def cmd_construct(args):
         barrier = constructions.build_space_barrier_at(n, k, k, range(n - n // k + 1, n), args.force)
         H = core.Hypergraph(n, k, barrier.edges, name=f"clique-minus(n={n},k={k})")
     core.save(H, args.output)
-    return {
-        "claim": "extremal-construction",
-        "results": {"n": H.n, "k": H.k, "edge_count": H.num_edges, "output": args.output},
-    }
+    return "extremal-construction", {"n": H.n, "k": H.k, "edge_count": H.num_edges, "output": args.output}
 
 
-def cmd_nu(args):
-    H = core.load(args.file)
-    return {"claim": "maximum-matching", "results": max_matching(H, force=args.force)}
+def cmd_nu(H, args):
+    return "maximum-matching", max_matching(H, force=args.force)
 
 
-def cmd_alpha(args):
-    H = core.load(args.file)
-    return {"claim": "maximum-independent-set", "results": independence_number(H, force=args.force)}
+def cmd_alpha(H, args):
+    return "maximum-independent-set", independence_number(H, force=args.force)
 
 
-def cmd_berge(args):
-    H = core.load(args.file)
-    return {"claim": "deficiency-formula", "results": berge_deficiency(H, force=args.force)}
+def cmd_berge(H, args):
+    return "deficiency-formula", berge_deficiency(H, force=args.force)
 
 
-def cmd_degrees(args):
-    H = core.load(args.file)
+def cmd_degrees(H, args):
     if args.set is not None:
         t = _vertices(args.set)
-        return {
-            "claim": "set-degree",
-            "results": {"set": t, "degree": core.degree(H, t)},
-        }
+        return "set-degree", {"set": t, "degree": core.degree(H, t)}
     if args.l is None:
         raise DomainError("degrees needs --l or --set")
     t, d = core.weakest_set(H, args.l)
-    return {
-        "claim": "minimum-l-degree",
-        "results": {"l": args.l, "min_degree": d, "argmin": t},
-    }
+    return "minimum-l-degree", {"l": args.l, "min_degree": d, "argmin": t}
 
 
-def cmd_fractional(args):
-    H = core.load(args.file)
+def cmd_fractional(H, args):
     sol = fractional.fractional_optimum(H)
-    return {
-        "claim": "lp-duality",
-        "results": {
-            "nu_star": sol.nu_star,
-            "tau_star": sol.tau_star,
-            "perfect": sol.nu_star == Fraction(H.n, H.k),
-        },
-    }
+    perfect = sol.nu_star == Fraction(H.n, H.k)
+    return "lp-duality", {"nu_star": sol.nu_star, "tau_star": sol.tau_star, "perfect": perfect}
 
 
-def cmd_stable_complete(args):
-    H = core.load(args.file)
+def cmd_stable_complete(H, args):
     comp = fractional.stable_completion(H, args.force)
     core.save(comp.graph, args.output)
-    return {
-        "claim": "stable-completion",
-        "results": {
-            "order": comp.order,
-            "omega": comp.weights,
-            "edge_count": comp.graph.num_edges,
-            "output": args.output,
-        },
+    return "stable-completion", {
+        "order": comp.order,
+        "omega": comp.weights,
+        "edge_count": comp.graph.num_edges,
+        "output": args.output,
     }
 
 
-def cmd_stable_check(args):
-    return {"claim": "downward-closedness", "results": stability.is_stable(core.load(args.file))}
+def cmd_stable_check(H, args):
+    return "downward-closedness", stability.is_stable(H)
 
 
-def cmd_shadow(args):
-    sh = stability.shadow(core.load(args.file))
-    return {"claim": "shadow", "results": {"size": len(sh), "sets": sh}}
+def cmd_shadow(H, args):
+    sh = stability.shadow(H)
+    return "shadow", {"size": len(sh), "sets": sh}
 
 
-def cmd_closeness(args):
-    H = core.load(args.file)
+def cmd_closeness(H, args):
     w = _vertices(args.w) if args.w is not None else tuple(range(args.m))
     results = closeness.barrier_deficit(H, args.m, args.s, w)
     if args.alpha is not None:
         good = closeness.classify_good(H, args.m, args.s, w, args.alpha)
         results = {**_fields(results), "goodness": good}
-    return {"claim": "barrier-closeness", "results": results}
+    return "barrier-closeness", results
 
 
-def cmd_closest(args):
-    H = core.load(args.file)
+def cmd_closest(H, args):
     seed = args.seed or 0
     w, deficit = closeness.closest_partition(H, args.m, args.s, seed=seed, force=args.force)
     mode = "exhaustive" if closeness.exhaustive(H.n, args.force) else "local-search-heuristic"
-    return {
-        "claim": "closest-barrier-partition",
-        "results": {"w_best": w, "deficit": deficit, "mode": mode},
-    }
+    return "closest-barrier-partition", {"w_best": w, "deficit": deficit, "mode": mode}
 
 
-def cmd_fdense(args):
-    H = core.load(args.file)
+def cmd_fdense(H, args):
     dense, witness = closeness.f_density_check(H, args.eps, force=args.force, seed=args.seed or 0)
     mode = "exhaustive" if closeness.exhaustive(H.n, args.force) else "sampled"
-    return {
-        "claim": "large-set-density",
-        "results": {"dense": dense, "witness": witness, "mode": mode},
-    }
+    return "large-set-density", {"dense": dense, "witness": witness, "mode": mode}
 
 
-def cmd_absorb(args):
-    H = core.load(args.file)
+def cmd_absorb(H, args):
     params = AbsorbingParameters(H.k, args.l, args.a, args.h)
     family = sample_absorbing_family(H, params, args.rho, args.seed or 0, args.probes, args.force)
     results = {
@@ -257,37 +230,31 @@ def cmd_absorb(args):
             "uncovered": res.uncovered,
             "uncovered_count": len(res.uncovered),
         }
-    return {"claim": "absorbing-family", "results": results}
+    return "absorbing-family", results
 
 
-def cmd_round1(args):
-    H = core.load(args.file)
+def cmd_round1(H, args):
     sample = pipeline.round1_sample(H, args.copies, args.p, args.seed or 0)
     probes = tuple(_vertices(p) for p in args.probe_set or ())
     report = pipeline.check_round1_properties(sample, H, probes, args.xi)
-    return {
-        "claim": "round-one-sample-properties",
-        "results": {
-            "copies": len(sample.copies),
-            "sizes": [len(c) for c in sample.copies],
-            "properties": report,
-        },
+    return "round-one-sample-properties", {
+        "copies": len(sample.copies),
+        "sizes": [len(c) for c in sample.copies],
+        "properties": report,
     }
 
 
-def cmd_sparsify(args):
-    H = core.load(args.file)
+def cmd_sparsify(H, args):
     sparse, diag = pipeline.sparsify_stage(
         H, args.copies, args.p, args.seed or 0, eps=args.eps
     )
     if args.output:
         core.save(sparse, args.output)
         diag["output"] = args.output
-    return {"claim": "weighted-sparsification", "results": diag}
+    return "weighted-sparsification", diag
 
 
-def cmd_pipeline(args):
-    H = core.load(args.file)
+def cmd_pipeline(H, args):
     res = pipeline.almost_perfect_pipeline(H, args.copies, args.p, args.seed or 0, eps=args.eps)
     results = {
         "matching": res.matching,
@@ -299,7 +266,7 @@ def cmd_pipeline(args):
     if args.sigma is not None:
         results["sigma"] = args.sigma
         results["within_sigma"] = res.uncovered_fraction <= args.sigma
-    return {"claim": "almost-perfect-matching", "results": results}
+    return "almost-perfect-matching", results
 
 
 def _suite_katona(trials, seed):
@@ -374,15 +341,10 @@ def cmd_verify(args):
         raise DomainError(f"--trials must be non-negative, got {args.trials}")
     seed = args.seed or 0
     if args.suite == "katona":
-        results = _suite_katona(args.trials, seed)
-        claim = "shadow-bound-suite"
-    elif args.suite == "frankl":
-        results = _suite_frankl(args.trials, seed)
-        claim = "edge-count-bound-suite"
-    else:
-        results = _suite_stability2(args.trials, seed, args.n, args.rho)
-        claim = "graph-stability-closeness-suite"
-    return {"claim": claim, "results": results}
+        return "shadow-bound-suite", _suite_katona(args.trials, seed)
+    if args.suite == "frankl":
+        return "edge-count-bound-suite", _suite_frankl(args.trials, seed)
+    return "graph-stability-closeness-suite", _suite_stability2(args.trials, seed, args.n, args.rho)
 
 
 def cmd_sweep(args):
@@ -428,17 +390,16 @@ def cmd_sweep(args):
                 row["search_trials"] = args.search_trials
                 row["counterexamples_found"] = found
             rows.append(row)
-    return {
-        "claim": "degree-threshold-tightness",
-        "results": {"k": k, "l": l, "mu": args.mu, "rows": rows},
-    }
+    return "degree-threshold-tightness", {"k": k, "l": l, "mu": args.mu, "rows": rows}
 
 
 # ---------------------------------------------------------------- wiring
 
 
+@functools.cache
 def build_parser() -> _Parser:
-    parser = _Parser(prog="hypermatch", description=__doc__)
+    # The help text is the docstring without its wiring note, which is for readers of this module.
+    parser = _Parser(prog="hypermatch", description=__doc__ and __doc__.partition("\n\nWiring:")[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="seed for randomized steps")
     force_help = (
@@ -465,7 +426,7 @@ def build_parser() -> _Parser:
     def file_command(name, handler):
         p = sub.add_parser(name, parents=[common])
         p.add_argument("file")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=lambda args: handler(core.load(args.file), args))
         return p
 
     file_command("nu", cmd_nu)
@@ -546,27 +507,21 @@ def build_parser() -> _Parser:
 
 def _echo_parameters(args) -> dict:
     skip = {"handler", "command", "format", "seed"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or value is None:
-            continue
-        out[key] = value
-    return out
+    return {key: value for key, value in sorted(vars(args).items()) if key not in skip and value is not None}
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     fmt = "json"
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         fmt = args.format
-        body = args.handler(args)
+        claim, results = args.handler(args)
         report = {
             "command": args.command,
             "parameters": _echo_parameters(args),
-            "claim": body["claim"],
-            "results": body["results"],
+            "claim": claim,
+            "results": results,
         }
         if args.seed is not None:
             report["seed"] = args.seed
