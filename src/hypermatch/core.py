@@ -316,7 +316,7 @@ def to_json(H: Hypergraph) -> str:
 def from_json(text: str) -> Hypergraph:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer literal, deep nesting
         raise DomainError(f"malformed hypergraph file: {exc}") from exc
     if not isinstance(obj, dict):
         raise DomainError("malformed hypergraph file: expected an object")

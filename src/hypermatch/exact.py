@@ -11,7 +11,8 @@ fixed and documented:
   The witness is read back in that same order, so it is the
   lexicographically least maximum matching. Recursion depth is nu + 1, and
   the search stops with SizeLimitError after MATCHING_MAX_NODES evaluations
-  unless forced. The absorber test in absorbing runs the same search on a
+  unless forced, or, even when forced, once nu + 1 passes Python's recursion
+  limit. The absorber test in absorbing runs the same search on a
   vertex subset of the host, with its edges scanned or looked up there.
 * independence_number adds vertices in index order, include branch first,
   pruning a vertex whose inclusion completes an edge. It has the same node
@@ -160,18 +161,25 @@ def _lex_least_matching(H: Hypergraph, full: int, starts: int, edges_at, force: 
         return best
 
     witness = []
-    need, d = nu(0), 0
-    while need:
-        live = full & ~d
-        v = (live & -live).bit_length() - 1
-        for e, m in edges_at(v, d):
-            if not m & d and 1 + nu(d | m) == need:
-                witness.append(e)
-                need, d = need - 1, d | m
-                break
-        else:
-            d |= 1 << v
-    nu = None  # breaks the cycle nu -> its closure -> nu, so the memo is freed now
+    try:
+        need, d = nu(0), 0
+        while need:
+            live = full & ~d
+            v = (live & -live).bit_length() - 1
+            for e, m in edges_at(v, d):
+                if not m & d and 1 + nu(d | m) == need:
+                    witness.append(e)
+                    need, d = need - 1, d | m
+                    break
+            else:
+                d |= 1 << v
+    except RecursionError:
+        raise SizeLimitError(
+            "the exact matching search recurses once per matching edge, and this matching is "
+            f"deeper than Python's recursion limit; --force does not lift this; n={full.bit_count()}"
+        ) from None
+    finally:
+        nu = None  # breaks the cycle nu -> its closure -> nu, so the memo is freed now
     return witness
 
 

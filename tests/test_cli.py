@@ -73,6 +73,16 @@ class TestBasicCommands:
         code, rep = run_json(capsys, "nu", str(path))
         assert code == 0 and rep["results"]["size"] == 1
 
+    def test_nu_deeper_than_the_recursion_limit_is_a_size_error(self, capsys, tmp_path):
+        # 1,500 disjoint pairs: the search recurses once per matching edge.
+        path = tmp_path / "pairs.json"
+        save(Hypergraph(3000, 2, [(2 * i, 2 * i + 1) for i in range(1500)]), path)
+        for force in ([], ["--force"]):
+            code, rep = run_json(capsys, "nu", str(path), *force)
+            assert code == 2 and rep["error"]["type"] == "SizeLimitError"
+            assert "recursion limit" in rep["error"]["message"]
+            assert "--force does not lift this" in rep["error"]["message"]
+
     def test_alpha_on_a_long_sparse_host(self, capsys, tmp_path):
         # The independent-set search keeps its own stack, so depth is not bounded by recursion.
         path = tmp_path / "long.json"
@@ -329,6 +339,10 @@ class TestErrorSurface:
             pytest.param(b'{"n": 4, "k": 2, "edges": [[false, true]]}', ["nu", "{file}"], None, id="bool-vertices"),
             pytest.param(b'{"n": 4, "k": 2, "edges": [[0.0, 1]]}', ["nu", "{file}"], None, id="float-vertex"),
             pytest.param(b"\xff\xfe", ["nu", "{file}"], None, id="not-utf8"),
+            pytest.param(
+                b'{"n": ' + b"1" * 4301 + b', "k": 2, "edges": []}', ["nu", "{file}"], None, id="over-long-integer"
+            ),
+            pytest.param(b"[" * 100000, ["nu", "{file}"], None, id="deeply-nested"),
             pytest.param(None, ["nu", "{file}"], None, id="missing-file"),
             pytest.param(
                 None,

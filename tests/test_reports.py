@@ -9,13 +9,19 @@ names, so the echoed `file` and `output` parameters do not depend on where
 the test runs.
 """
 
+import argparse
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hypermatch
 from hypermatch import Hypergraph, build_parity, build_space_barrier, complete_hypergraph, save
+from hypermatch import cli
 from hypermatch.cli import main
 
 from conftest import FANO_LINES
@@ -121,3 +127,43 @@ def test_csv_fields_follow_json_key_order(capsys, host_dir, line):
     _, out = run(capsys, line)
     _, csv_text = run(capsys, line + " --format csv")
     assert csv_fields(csv_text) == json_fields(json.loads(out))
+
+
+class TestOneParserPerProcess:
+    ROUND1 = "round1 k12.json --copies 2 --p 1/2 --seed 1"
+    PROBES = ROUND1 + " --probe-set 0,1 --probe-set 2,3,4"
+
+    def test_append_flags_do_not_leak_into_the_next_call(self, capsys, host_dir):
+        src = Path(hypermatch.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        for line in (self.PROBES, self.ROUND1):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "hypermatch", *shlex.split(line)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert (fresh.returncode, fresh.stderr) == (0, "")
+            assert run(capsys, line) == (0, fresh.stdout) == (0, golden(line))
+
+    def test_an_argparse_error_leaves_the_parser_usable(self, capsys, host_dir):
+        code, out = run(capsys, "round1 k12.json --p 1/2")
+        assert code == 1
+        assert json.loads(out)["error"]["message"] == "the following arguments are required: --copies"
+        assert run(capsys, self.PROBES) == (0, golden(self.PROBES))
+
+    def test_the_parser_is_built_once(self, capsys, host_dir, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        counts = []
+        for line in (self.ROUND1, "nu fano.json", self.PROBES, "verify --suite katona --trials 3 --seed 4"):
+            assert run(capsys, line) == (0, golden(line))
+            counts.append(len(built))
+        # The first call builds the whole tree; later calls build nothing.
+        assert counts[0] > 0 and counts == counts[:1] * 4
+        assert built[0] is cli.build_parser()
