@@ -11,7 +11,7 @@ fixed and documented:
   The witness is read back in that same order, so it is the
   lexicographically least maximum matching. Recursion depth is nu + 1, and
   the search stops with SizeLimitError after MATCHING_MAX_NODES evaluations
-  unless forced, or, even when forced, once nu + 1 passes Python's recursion
+  unless forced, and, forced or not, once nu + 1 passes Python's recursion
   limit. The absorber test in absorbing runs the same search on a
   vertex subset of the host, with its edges scanned or looked up there.
 * independence_number adds vertices in index order, include branch first,
