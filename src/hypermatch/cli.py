@@ -166,7 +166,7 @@ def cmd_degrees(H, args):
 
 
 def cmd_fractional(H, args):
-    sol = fractional.fractional_optimum(H)
+    sol = fractional.fractional_optimum(H, args.force)
     perfect = sol.nu_star == Fraction(H.n, H.k)
     return "lp-duality", {"nu_star": sol.nu_star, "tau_star": sol.tau_star, "perfect": perfect}
 
@@ -403,9 +403,10 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="seed for randomized steps")
     force_help = (
-        "lift the berge size guard, the search budget of nu and alpha and the k-set "
+        "lift the berge size guard, the search budget of nu and alpha, the k-set "
         "enumeration guard of construct, stable-complete and absorb's family "
-        "sampler; closest and fdense scan every candidate set"
+        "sampler and the LP tableau guard of fractional and stable-complete; "
+        "closest and fdense scan every candidate set"
     )
     common.add_argument("--force", action="store_true", help=force_help)
     common.add_argument("--format", choices=("json", "csv"), default="json")

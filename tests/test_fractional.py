@@ -1,3 +1,8 @@
+import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,8 +20,13 @@ from hypermatch import (
     max_matching,
     stable_completion,
 )
-from hypermatch.errors import CertificationError
+import hypermatch
+from hypermatch import fractional
+from hypermatch.cli import main
+from hypermatch.core import induced
+from hypermatch.errors import CertificationError, SizeLimitError
 from hypermatch.fractional import _simplex_optimum
+from hypermatch.pipeline import round1_sample
 from hypermatch.rng import CounterRng, random_hypergraph
 
 seeds = st.integers(0, 10**9)
@@ -129,6 +139,47 @@ def _fraction_simplex_reference(H: Hypergraph):
     return x, y, z[width]
 
 
+def _over_denominator(H: Hypergraph):
+    """The integer simplex's x, y and value, each divided by its D."""
+    x, y, value, D = _simplex_optimum(H)
+    assert D > 0
+    return [Fraction(w, D) for w in x], [Fraction(w, D) for w in y], Fraction(value, D)
+
+
+def _assert_matches_oracle(H: Hypergraph):
+    # x, y and the value are compared one by one; the value is the tableau's
+    # own rhs entry, not a sum of y.
+    x, y, value = _over_denominator(H)
+    ref_x, ref_y, ref_value = _fraction_simplex_reference(H)
+    assert x == ref_x, H.name
+    assert y == ref_y, H.name
+    assert value == ref_value, H.name
+
+
+def _pipeline_host(index: int) -> Hypergraph:
+    """The benchmark's pipeline hosts: K30^(3) (index 0), then barrier-noise hosts.
+
+    A barrier-noise host is the space barrier on 30 vertices with s = k = 3
+    and |W| = 10, plus each 3-set outside W at rate 0.3, drawn from the
+    benchmark's own host stream: index 1 from seed 0, indices 2-9 from seed 1.
+    """
+    n, k, w, rate = 30, 3, 10, 0.3
+    if index == 0:
+        return complete_hypergraph(n, k)
+    rng = random.Random(f"hosts:{0 if index == 1 else 1}")
+    outside = list(combinations(range(w, n), k))
+    for _ in range(1 if index == 1 else index - 1):
+        noise = [c for c in outside if rng.random() < rate]
+    barrier = list(build_space_barrier(n, k, k, w).edges)
+    return Hypergraph(n, k, barrier + noise, name=f"barrier-noise-{index}")
+
+
+def _padded(G: Hypergraph, front: int, back: int) -> Hypergraph:
+    """G with `front` uncovered vertices before its own and `back` after them."""
+    edges = [tuple(v + front for v in e) for e in G.edges]
+    return Hypergraph(front + G.n + back, G.k, edges, name=f"{G.name}+{front}+{back}")
+
+
 class TestIntegerSimplexMatchesFractionOracle:
     # The integer tableau must take the oracle's pivots step for step, so the
     # vertex (x), the cover (y) and the value come out identical, not merely
@@ -139,32 +190,167 @@ class TestIntegerSimplexMatchesFractionOracle:
         # The lowest basis index leaves, which fixes the cover at {0, 2};
         # the other choice ends at the equally optimal cover {1, 3}.
         H = Hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)])
-        result = _simplex_optimum(H)
-        assert result == _fraction_simplex_reference(H)
-        assert result == ([1, 0, 1], [1, 0, 1, 0], 2)
+        _assert_matches_oracle(H)
+        assert _over_denominator(H) == ([1, 0, 1], [1, 0, 1, 0], 2)
 
     @pytest.mark.parametrize("k, n_max", [(2, 13), (3, 13), (4, 12)])
     def test_random_hosts(self, k, n_max):
         for n in range(k + 2, n_max + 1):
             p = Fraction(1 + n % 3, 4)
-            H = random_hypergraph(n, k, p, 61000 + 100 * k + n)
-            assert _simplex_optimum(H) == _fraction_simplex_reference(H), (n, k, p)
+            _assert_matches_oracle(random_hypergraph(n, k, p, 61000 + 100 * k + n))
 
     @pytest.mark.parametrize("n", range(9, 14))
     def test_complete_triple_systems(self, n):
-        H = complete_hypergraph(n, 3)
-        assert _simplex_optimum(H) == _fraction_simplex_reference(H)
+        _assert_matches_oracle(complete_hypergraph(n, 3))
 
     def test_space_barriers(self):
         for n in (9, 10, 11):
             for s in (1, 2, 3):
                 for m in (1, n // 3):
-                    H = build_space_barrier(n, 3, s, m)
-                    assert _simplex_optimum(H) == _fraction_simplex_reference(H), H.name
+                    _assert_matches_oracle(build_space_barrier(n, 3, s, m))
 
     def test_empty_host(self):
         H = Hypergraph(5, 3, [])
-        assert _simplex_optimum(H) == _fraction_simplex_reference(H)
+        assert _simplex_optimum(H) == ([], [0] * 5, 0, 1)
+        _assert_matches_oracle(H)
+
+    @pytest.mark.parametrize("index", range(10))
+    def test_pipeline_round_one_copies(self, index):
+        # The LP shape the pipeline solves: each round-one copy (10 copies at
+        # p = 1/4, seeded by the host's index) of a benchmark pipeline host,
+        # induced on the copy.
+        H = _pipeline_host(index)
+        for copy in round1_sample(H, 10, Fraction(1, 4), index).copies:
+            _assert_matches_oracle(induced(H, copy).graph)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_uncovered_vertices(self, k):
+        # An uncovered vertex gets no row, yet y_v = 0 and the pivots of the
+        # full tableau are kept.
+        for t in range(8):
+            G = random_hypergraph(k + 2 + t % 5, k, Fraction(1, 2 + t % 4), 64000 + 100 * k + t)
+            for front, back in ((0, 3), (2, 0), (1, 1)):
+                _assert_matches_oracle(_padded(G, front, back))
+        _assert_matches_oracle(Hypergraph(9, k, [tuple(range(3, 3 + k))]))
+
+
+class TestCertificate:
+    # fractional_optimum checks every answer of the simplex; a tampered
+    # answer must be rejected with the message of the first check it fails.
+
+    PATH = Hypergraph(3, 2, [(0, 1), (1, 2)])  # optimum: x = (1, 0), y = (0, 1, 0)
+
+    @pytest.mark.parametrize(
+        "x, y, D, message",
+        [
+            ([3, 0], [0, 2, 0], 2, "edge weight outside [0, 1]"),
+            ([-1, 0], [0, 2, 0], 2, "edge weight outside [0, 1]"),
+            ([2, 2], [0, 2, 0], 2, "primal infeasible: vertex load exceeds 1"),
+            ([2, 0], [0, 3, 0], 2, "dual infeasible: vertex weight outside [0, 1]"),
+            ([2, 0], [-1, 2, 1], 2, "dual infeasible: vertex weight outside [0, 1]"),
+            ([2, 0], [1, 0, 1], 2, "dual infeasible: uncovered edge"),
+            ([2, 0], [2, 2, 0], 2, "duality gap: 1 != 2"),
+            ([1, 1], [0, 3, 0], 3, "duality gap: 2/3 != 1"),
+        ],
+        ids=["x-over-1", "x-negative", "load", "y-over-1", "y-negative", "uncovered", "gap", "gap-reduced"],
+    )
+    def test_tampered_answer_is_rejected(self, monkeypatch, x, y, D, message):
+        monkeypatch.setattr(fractional, "_simplex_optimum", lambda H, force=False: (x, y, sum(x), D))
+        with pytest.raises(CertificationError) as info:
+            fractional_optimum(self.PATH)
+        assert str(info.value) == message
+
+    def test_untampered_answer_is_accepted(self):
+        x, y, value, D = _simplex_optimum(self.PATH)
+        assert (x, y, value, D) == ([1, 0], [0, 1, 0], 1, 1)
+        sol = fractional_optimum(self.PATH)
+        assert sol.edge_weights == {(0, 1): 1, (1, 2): 0} and sol.nu_star == 1 == sol.tau_star
+
+    def test_weights_are_fractions_in_edge_and_vertex_order(self, fano):
+        sol = fractional_optimum(_padded(fano, 2, 1))
+        assert list(sol.edge_weights) == [tuple(v + 2 for v in e) for e in fano.edges]
+        assert list(sol.vertex_weights) == list(range(10))
+        values = [*sol.edge_weights.values(), *sol.vertex_weights.values(), sol.nu_star, sol.tau_star]
+        assert all(type(w) is Fraction for w in values)
+        assert sol.vertex_weights[0] == sol.vertex_weights[9] == 0 and sol.nu_star == Fraction(7, 3)
+
+
+class TestTableauGuard:
+    # Only covered vertices get a row; the covered tableau is guarded.
+
+    def test_uncovered_vertices_allocate_nothing(self):
+        sol = fractional_optimum(Hypergraph(20000, 2, [(0, 1)]))
+        assert sol.nu_star == 1 == sol.tau_star
+        assert sum(1 for w in sol.vertex_weights.values() if w) == 1
+
+    def test_guard_counts_covered_vertices(self, monkeypatch):
+        # Six covered vertices make a 6 * 7 tableau, whatever n is.
+        H = Hypergraph(1000, 3, [(0, 1, 2), (500, 501, 999)])
+        monkeypatch.setattr(fractional, "LP_MAX_CELLS", 6 * 7)
+        assert fractional_optimum(H).nu_star == 2
+        monkeypatch.setattr(fractional, "LP_MAX_CELLS", 6 * 7 - 1)
+        with pytest.raises(SizeLimitError, match="got 6 \\* 7"):
+            fractional_optimum(H)
+        assert fractional_optimum(H, force=True).nu_star == 2
+
+    def test_force_lifts_the_guard_on_the_command_line(self, monkeypatch, tmp_path, capsys, fano):
+        path = tmp_path / "fano.json"
+        hypermatch.save(fano, path)
+        monkeypatch.setattr(fractional, "LP_MAX_CELLS", 7 * 8 - 1)
+        for argv in (["fractional", str(path)], ["stable-complete", str(path), "-o", str(tmp_path / "c.json")]):
+            assert main(argv) == 2
+            rep = json.loads(capsys.readouterr().out)
+            assert rep["error"]["type"] == "SizeLimitError"
+            assert main([*argv, "--force"]) == 0
+            rep = json.loads(capsys.readouterr().out)
+            assert rep["parameters"]["force"] is True
+        monkeypatch.setattr(fractional, "LP_MAX_CELLS", 7 * 8)
+        assert main(["fractional", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["nu_star"] == "7/3"
+
+
+def _fractional_under_a_memory_cap(path):
+    """Run `hypermatch fractional path` in a child capped at a 1 GiB address space."""
+    script = """
+import resource, sys
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from hypermatch.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+    src = os.path.dirname(os.path.dirname(hypermatch.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", script, "fractional", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_sparse_host_solves_under_a_memory_cap(tmp_path):
+    # A 40-byte file once asked for a 20,000 x 20,001 tableau and died with a
+    # bare MemoryError; only its two covered vertices get rows now.
+    pytest.importorskip("resource")  # the address-space cap is POSIX only
+    path = tmp_path / "sparse.json"
+    path.write_text('{"n": 20000, "k": 2, "edges": [[0, 1]]}')
+    proc = _fractional_under_a_memory_cap(path)
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["results"] == {"nu_star": "1", "perfect": False, "tau_star": "1"}
+
+
+def test_host_past_the_tableau_guard_ends_in_a_report(tmp_path):
+    # 1,024 disjoint pairs cover 2,048 vertices: 2048 * 2049 cells is just
+    # past LP_MAX_CELLS = 2^22, while 2047 * 2048 is not.
+    pytest.importorskip("resource")
+    assert 2047 * 2048 <= fractional.LP_MAX_CELLS < 2048 * 2049
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({"n": 2048, "k": 2, "edges": [[2 * i, 2 * i + 1] for i in range(1024)]}))
+    proc = _fractional_under_a_memory_cap(path)
+    assert proc.returncode == 2, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["error"]["type"] == "SizeLimitError"
+    assert rep["error"]["message"].endswith("got 2048 * 2049")
 
 
 class TestStableCompletion:
@@ -208,8 +394,7 @@ def test_duality_and_sandwich(seed, n, k):
 def test_integer_simplex_matches_fraction_oracle(seed, n, k, quarters):
     if k > n:
         return
-    H = random_hypergraph(n, k, Fraction(quarters, 4), seed)
-    assert _simplex_optimum(H) == _fraction_simplex_reference(H)
+    _assert_matches_oracle(random_hypergraph(n, k, Fraction(quarters, 4), seed))
 
 
 @given(seed=seeds, na=st.integers(1, 4), nb=st.integers(1, 4))
