@@ -4,7 +4,7 @@ A session fixes (k, l) and legal integers (a, h) with h <= l, a <= k - l and
 a*l >= a*(k-l) + (k-h). An absorber for an (a*l+h)-set R is an a*k-set Q,
 disjoint from R, that spans a matching of size a and satisfies
 nu(H[Q u R]) >= a + 1. The test is _matching_in, which runs max_matching's
-search on the host's labels and edge set, with no induced subgraph;
+search on Q u R in the host's labels, with no induced subgraph;
 disjointness always holds, because every R (a probe or a set to absorb) is
 drawn from vertices outside the family.
 
@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
 from .core import Hypergraph, _mask, check_enumeration, vertex_subset
 from .errors import AbsorptionStuckError, CertificationError, DomainError
-from .exact import _edges_by_start, _lex_least_matching, validate_matching
+from .exact import _lex_least_matching, validate_matching
 from .rng import TAG_FAMILY, TAG_PROBE, CounterRng, bernoulli_subsets
 
 
@@ -79,26 +78,8 @@ def default_parameters(k: int, l: int) -> AbsorbingParameters:
 
 
 def _matching_in(H: Hypergraph, X, t: int) -> tuple:
-    """First t edges of the lex-least maximum matching of H[X], in host labels; () if nu < t.
-
-    max_matching's search, on host labels. When C(|X|, k) < e(H) the edges at
-    v are the sets (v, *c), c from the live vertices above v, found in H's
-    edge set as the search asks; otherwise one scan of H's edges lists them.
-    """
-    xs = sorted(X)
-    k, edge_set, full = H.k, H.edge_set, _mask(xs)
-    if comb(len(xs), k) < H.num_edges:
-        def edges_at(v, dead):
-            above = [u for u in xs if u > v and not dead >> u & 1]
-            for c in combinations(above, k - 1):
-                if (v, *c) in edge_set:
-                    yield (v, *c), _mask(c) | 1 << v
-
-        starts = _mask(v for i, v in enumerate(xs)
-                       if any((v, *c) in edge_set for c in combinations(xs[i + 1 :], k - 1)))
-    else:
-        starts, edges_at = _edges_by_start(filter(frozenset(xs).issuperset, H.edges))
-    witness = _lex_least_matching(H, full, starts, edges_at, False)
+    """First t edges of the lex-least maximum matching of H[X], in host labels; () if nu < t."""
+    witness = _lex_least_matching(H, sorted(X), False)
     return tuple(witness[:t]) if len(witness) >= t else ()
 
 

@@ -23,6 +23,11 @@ edges have that form by construction call it: `induced` (relabeled host edges
 or k-subsets of a checked vertex set), `complete_hypergraph`, the random and
 extremal generators, `downward_closure` and `round2_sparsify` (a checked
 subset of the host's edges). CI rejects a call from anywhere else.
+
+The edges of H[X] are found on one of two routes, and `_looks_up` alone picks
+it, for `induced` and exact's matching search: when C(|X|, k) < e(H) each
+k-subset of X is looked up in the edge set, otherwise one scan of the edges
+keeps those inside X. The cost is the smaller count either way.
 """
 
 from __future__ import annotations
@@ -278,18 +283,22 @@ class Subgraph(NamedTuple):
         return tuple(sorted(self.vertices[v] for v in subset))
 
 
+def _looks_up(H: Hypergraph, size: int) -> bool:
+    """Whether H[X] with |X| = size is found by lookup (the module docstring's route rule)."""
+    return comb(size, H.k) < H.num_edges
+
+
 def induced(H: Hypergraph, S: Iterable[int]) -> Subgraph:
     """H[S]: keep exactly the edges inside S, relabeled to 0..|S|-1.
 
-    When C(|S|, k) < e(H), each k-subset of S is looked up in the host's edge
-    set; otherwise each host edge is tested against S as a set. Either way
-    the cost is the smaller of the two counts, and the edges come out in the
-    same lex order. Both routes yield canonical edges over the checked,
-    sorted vertex set s, so the subgraph is built by the trusted constructor.
+    The k-subsets of S are looked up, or the host's edges tested against S as
+    a set, as _looks_up decides. Both routes yield canonical edges over the
+    checked, sorted vertex set s, so the subgraph is built by the trusted
+    constructor.
     """
     s = vertex_subset(H.n, S)
     k = H.k
-    if comb(len(s), k) < H.num_edges:
+    if _looks_up(H, len(s)):
         edge_set = H.edge_set
         pairs = zip(combinations(range(len(s)), k), combinations(s, k))
         out = [new for new, old in pairs if old in edge_set]

@@ -3,17 +3,12 @@
 These are the oracles every property suite trusts, so the branch orders are
 fixed and documented:
 
-* max_matching memoizes the matching number of the live vertices, keyed on
-  the dead mask (covered vertices plus those left uncovered for good), within
-  one call. At the least live vertex it tries the edges that start there in
-  lexicographic order, then leaves the vertex uncovered for good, and stops
-  once a state reaches min(live // k, live vertices at which an edge starts).
-  The witness is read back in that same order, so it is the
-  lexicographically least maximum matching. Recursion depth is nu + 1, and
-  the search stops with SizeLimitError after MATCHING_MAX_NODES evaluations
-  unless forced, and, forced or not, once nu + 1 passes Python's recursion
-  limit. The absorber test in absorbing runs the same search on a
-  vertex subset of the host, with its edges scanned or looked up there.
+* max_matching returns the lexicographically least maximum matching, from
+  the memoized search whose branch and readback orders _lex_least_matching
+  states. Its recursion depth is nu + 1. It stops with SizeLimitError after
+  MATCHING_MAX_NODES evaluations unless forced, and, forced or not, once
+  nu + 1 passes Python's recursion limit. The absorber test in absorbing
+  runs the same search on a vertex subset of the host.
 * independence_number adds vertices in index order, include branch first,
   pruning a vertex whose inclusion completes an edge. It has the same node
   budget as max_matching.
@@ -32,6 +27,7 @@ from itertools import combinations
 from math import inf
 from typing import NamedTuple
 
+from . import core
 from .core import Hypergraph, _mask
 from .errors import CertificationError, DomainError, SizeLimitError
 
@@ -83,14 +79,24 @@ MATCHING_MAX_NODES = 1 << 20  # nodes the matching or independence search visits
 def max_matching(H: Hypergraph, force: bool = False) -> MatchingResult:
     """Exact maximum matching; the witness is the lexicographically least one.
 
+    It is _lex_least_matching on every vertex, with the budget the module
+    docstring states.
+    """
+    witness = _lex_least_matching(H, range(H.n), force)
+    return MatchingResult(len(witness), tuple(witness))
+
+
+def _lex_least_matching(H: Hypergraph, xs, force: bool) -> list:
+    """The lex-least maximum matching of H[xs], in host labels; xs is sorted.
+
     A search state is a dead mask: covered vertices and those left uncovered
     for good. nu(dead) walks the skip chain: at the least live vertex v it
-    takes 1 + nu(dead | e) for each edge e that starts at v and avoids the
-    dead set, in lex order, then kills v. A state stops once its best reaches
-    min(live // k, live vertices at which an edge starts), since every
-    matching edge has its own least vertex. Exact values are memoized per
-    call on the dead mask, and only a taken edge recurses, so the depth is
-    nu + 1.
+    takes 1 + nu(dead | e) for each edge e of H[xs] that starts at v and
+    avoids the dead set, in lex order, then kills v. A state stops once its
+    best reaches min(live // k, live vertices at which an edge starts), since
+    every matching edge has its own least vertex. Exact values are memoized
+    per call on the dead mask, and only a taken edge recurses, so the depth
+    is nu + 1.
 
     The witness is read back from the root: take the first edge, in chain
     order then lex order, whose child reaches the state's value, and repeat
@@ -99,34 +105,34 @@ def max_matching(H: Hypergraph, force: bool = False) -> MatchingResult:
     matchings of one size, preorder is lex order, and the first child that
     reaches the optimum holds the lex-least maximum matching.
 
-    Every nu call, memo hits included, counts against MATCHING_MAX_NODES;
-    past it SizeLimitError is raised unless force is set.
+    The edges at v are found on core._looks_up's route: the sets (v, *c), c
+    from the live vertices above v, looked up as the search asks, or one scan
+    of H's edges grouped by least vertex.
+
+    Every nu call, memo hits included, counts against the budget.
     """
-    full = (1 << H.n) - 1
-    witness = _lex_least_matching(H, full, *_edges_by_start(H.edges), force)
-    return MatchingResult(len(witness), tuple(witness))
+    k, every = H.k, len(xs) == H.n
+    full = (1 << H.n) - 1 if every else _mask(xs)
+    if core._looks_up(H, len(xs)):
+        edge_set = H.edge_set
 
+        def edges_at(v, dead):
+            above = [u for u in xs if u > v and not dead >> u & 1]
+            for c in combinations(above, k - 1):
+                if (v, *c) in edge_set:
+                    yield (v, *c), _mask(c) | 1 << v
 
-def _edges_by_start(edges) -> tuple:
-    """(starts, edges_at) for _lex_least_matching from one pass over edges,
-    given in lex order: each edge with its mask, listed by least vertex."""
-    starts_at: dict = {}
-    for e in edges:
-        starts_at.setdefault(e[0], []).append((e, _mask(e)))
-    return _mask(starts_at), lambda v, dead: starts_at.get(v, ())
+        starts = _mask(v for i, v in enumerate(xs)
+                       if any((v, *c) in edge_set for c in combinations(xs[i + 1 :], k - 1)))
+    else:
+        starts_at: dict = {}
+        for e in H.edges if every else filter(frozenset(xs).issuperset, H.edges):
+            starts_at.setdefault(e[0], []).append((e, _mask(e)))
+        starts = _mask(starts_at)
 
+        def edges_at(v, dead):
+            return starts_at.get(v, ())
 
-def _lex_least_matching(H: Hypergraph, full: int, starts: int, edges_at, force: bool) -> list:
-    """The search of max_matching on the vertex mask full, with its edges
-    taken from the caller: the lex-least maximum matching of H[full].
-
-    edges_at(v, dead) yields, in lex order, (edge, mask) for every edge of
-    H[full] that starts at v and avoids dead; edges that meet dead may be
-    yielded too and are skipped. The caller builds those masks, since H
-    stores none. starts masks the vertices at which an edge of H[full]
-    starts. The budget and its SizeLimitError are max_matching's.
-    """
-    k = H.k
     limit = inf if force else MATCHING_MAX_NODES
     memo: dict = {}
     evaluations = 0
