@@ -138,7 +138,7 @@ def cmd_construct(args):
         if n % k:
             raise DomainError(f"clique-minus needs k | n, got n={n}, k={k}")
         barrier = constructions.build_space_barrier_at(n, k, k, range(n - n // k + 1, n), args.force)
-        H = core.Hypergraph(n, k, barrier.edges, name=f"clique-minus(n={n},k={k})")
+        H = core.Hypergraph._canonical(n, k, barrier.edges, name=f"clique-minus(n={n},k={k})")
     core.save(H, args.output)
     return "extremal-construction", {"n": H.n, "k": H.k, "edge_count": H.num_edges, "output": args.output}
 
@@ -192,7 +192,7 @@ def cmd_shadow(H, args):
 
 
 def cmd_closeness(H, args):
-    w = _vertices(args.w) if args.w is not None else tuple(range(args.m))
+    w = _vertices(args.w) if args.w is not None else range(args.m)
     results = closeness.barrier_deficit(H, args.m, args.s, w)
     if args.alpha is not None:
         good = closeness.classify_good(H, args.m, args.s, w, args.alpha)

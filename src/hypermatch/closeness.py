@@ -43,6 +43,8 @@ def barrier_deficit(H: Hypergraph, m: int, s: int, W) -> ClosenessReport:
     barrier degree of v is that count less the closed form on the n - 1
     vertices other than v. One scan of H then takes off each barrier edge of H.
     """
+    if not 0 <= m <= H.n:
+        raise DomainError(f"need 0 <= m <= n, got m={m}")
     w = vertex_subset(H.n, W)
     if len(w) != m:
         raise DomainError(f"|W|={len(w)} does not match m={m}")

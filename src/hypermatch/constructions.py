@@ -51,8 +51,8 @@ def build_space_barrier_at(n: int, k: int, s: int, W, force: bool = False) -> Hy
         raise DomainError(f"need 1 <= s <= k, got s={s}, k={k}")
     if k > n:
         raise DomainError(f"need k <= n, got k={k}, n={n}")
+    check_enumeration(n, k, force)  # before W is read, so an oversized n never lists it
     w = vertex_subset(n, W)
-    check_enumeration(n, k, force)
     name = f"H^{s}_{k}(n={n},|W|={len(w)})"
     return Hypergraph._canonical(n, k, barrier_edges(n, k, s, w), name=name)
 

@@ -21,8 +21,9 @@ checks n and k only and takes its edges as given: sorted k-tuples of distinct
 ints in 0..n-1, pairwise distinct and in lex order. Only generators whose
 edges have that form by construction call it: `induced` (relabeled host edges
 or k-subsets of a checked vertex set), `complete_hypergraph`, the random and
-extremal generators, `downward_closure` and `round2_sparsify` (a checked
-subset of the host's edges). CI rejects a call from anywhere else.
+extremal generators, `downward_closure`, `round2_sparsify` (a checked
+subset of the host's edges) and `cli.cmd_construct` (a built barrier's edges,
+renamed clique-minus). CI rejects a call from anywhere else.
 
 The edges of H[X] are found on one of two routes, and `_looks_up` alone picks
 it, for `induced` and exact's matching search: when C(|X|, k) < e(H) each

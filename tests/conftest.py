@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import settings
 
+import hypermatch
 from hypermatch import Hypergraph
 
 settings.register_profile("suite", deadline=None, max_examples=40)
@@ -27,3 +30,21 @@ def fano():
 
 
 HALF = Fraction(1, 2)
+
+
+def cli_under_a_memory_cap(*argv):
+    """Run `hypermatch *argv` in a child capped at a 1 GiB address space."""
+    script = """
+import resource, sys
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from hypermatch.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+    src = os.path.dirname(os.path.dirname(hypermatch.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )

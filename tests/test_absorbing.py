@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, inf
 
 import pytest
 
@@ -26,7 +25,7 @@ from hypermatch import (
     sample_absorbing_family,
     validate_matching,
 )
-from hypermatch import absorbing, exact
+from hypermatch import absorbing, core, exact
 from hypermatch.rng import TAG_PROBE, CounterRng, random_hypergraph
 
 PARAMS32 = AbsorbingParameters(3, 2, 1, 2)
@@ -40,59 +39,82 @@ def induced_matching_in(H, X, t):
     return tuple(sorted(sub.lift(e) for e in witness[:t])) if len(witness) >= t else ()
 
 
-# _matching_in looks edges up when C(|X|, k) < e(H) and scans H otherwise;
-# patching its comb forces one route on every host.
-ROUTES = {"lookup": lambda n, k: -1, "scan": lambda n, k: inf}
+ROUTES = {"lookup": True, "scan": False}
+
+
+def route_verdicts(monkeypatch, forced=None):
+    """Patch core._looks_up, the route rule of induced and exact's search, to
+    record each verdict it gives (always forced, when forced is not None)."""
+    real, verdicts = core._looks_up, []
+
+    def looks_up(H, size):
+        verdicts.append(real(H, size) if forced is None else forced)
+        return verdicts[-1]
+
+    monkeypatch.setattr(core, "_looks_up", looks_up)
+    return verdicts
 
 
 class TestMatchingIn:
     @pytest.mark.parametrize("route", sorted(ROUTES))
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_agrees_with_the_induced_subgraph_route(self, monkeypatch, k, route):
-        cases = []
+        cases, hosts = [], []
         for seed in range(6):
             rng = CounterRng(seed)
             for n in (k + 1, 9, 12):
                 for p in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10), Fraction(1)):
                     H = random_hypergraph(n, k, p, 100 * seed + n)
+                    hosts.append((H, max_matching(H)))
                     for size in range(n + 1):
                         X = rng.sample(list(range(n)), size, n, size, p.denominator)
                         cases += [(H, X, t, induced_matching_in(H, X, t)) for t in range(5)]
-        monkeypatch.setattr(absorbing, "comb", ROUTES[route])
+        verdicts = route_verdicts(monkeypatch, ROUTES[route])
         for H, X, t, expected in cases:
             assert absorbing._matching_in(H, set(X), t) == expected, (H.edges, X, t)
+        for H, expected in hosts:
+            assert max_matching(H) == expected, H.edges
+        # One verdict per search, each the forced one: the forced route ran.
+        assert verdicts == [ROUTES[route]] * (len(cases) + len(hosts))
         assert any(len(expected) == min(4, 12 // k) for _, _, _, expected in cases)
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
     def test_budget_still_raises(self, monkeypatch, route):
         H = complete_hypergraph(12, 3)
-        monkeypatch.setattr(absorbing, "comb", ROUTES[route])
+        verdicts = route_verdicts(monkeypatch, ROUTES[route])
         monkeypatch.setattr(exact, "MATCHING_MAX_NODES", 3)
         # The message sizes the searched set H[X] (C(9, 3) = 84 edges), not the host.
         with pytest.raises(SizeLimitError, match="at most 3 search evaluations; n=9, e=84$"):
             absorbing._matching_in(H, range(9), 3)
+        with pytest.raises(SizeLimitError, match="at most 3 search evaluations; n=12, e=220$"):
+            max_matching(H)
+        assert verdicts == [ROUTES[route]] * 2
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
     def test_leaves_no_reference_cycle(self, monkeypatch, route):
         # A cycle through the search's closure would keep its memo and edge
         # lists alive until the collector runs, which raises peak memory.
         H = random_hypergraph(12, 3, Fraction(1, 2), 5)
-        monkeypatch.setattr(absorbing, "comb", ROUTES[route])
+        verdicts = route_verdicts(monkeypatch, ROUTES[route])
         gc.disable()
         try:
             gc.collect()
             assert absorbing._matching_in(H, range(10), 3)
+            assert max_matching(H).size
             assert gc.collect() == 0
         finally:
             gc.enable()
+        assert verdicts == [ROUTES[route]] * 2
 
-    def test_both_routes_are_taken_unpatched(self):
+    def test_both_routes_are_taken_unpatched(self, monkeypatch):
         # Dense and sparse hosts, as the absorbing family meets them.
         dense, sparse = complete_hypergraph(10, 3), random_hypergraph(10, 3, Fraction(1, 20), 3)
-        assert comb(7, 3) < dense.num_edges and comb(7, 3) >= sparse.num_edges
-        for H in (dense, sparse):
-            for X in ((0, 2, 3, 5, 6, 8, 9), tuple(range(7))):
-                assert absorbing._matching_in(H, X, 2) == induced_matching_in(H, X, 2)
+        expected = {(H, X): induced_matching_in(H, X, 2)
+                    for H in (dense, sparse) for X in ((0, 2, 3, 5, 6, 8, 9), tuple(range(7)))}
+        verdicts = route_verdicts(monkeypatch)
+        for (H, X), witness in expected.items():
+            assert absorbing._matching_in(H, X, 2) == witness
+        assert verdicts == [True, True, False, False]
 
 
 def legal_pairs(k, l):

@@ -1,13 +1,10 @@
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from math import ceil
+from time import perf_counter
 
 import pytest
 
-import hypermatch
 from hypermatch import (
     Hypergraph,
     build_space_barrier,
@@ -22,6 +19,8 @@ from hypermatch import (
 from hypermatch import exact
 from hypermatch.cli import main
 from hypermatch.rng import random_hypergraph
+
+from conftest import cli_under_a_memory_cap
 
 
 def run(capsys, *argv):
@@ -450,23 +449,40 @@ def test_huge_host_ends_in_a_report_under_a_memory_cap(tmp_path, host, message):
     pytest.importorskip("resource")  # the address-space cap is POSIX only
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(host))
-    script = """
-import resource, sys
-hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
-resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-from hypermatch.cli import main
-sys.exit(main(sys.argv[1:]))
-"""
-    src = os.path.dirname(os.path.dirname(hypermatch.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "nu", str(path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = cli_under_a_memory_cap("nu", path)
     assert proc.returncode == 2, proc.stderr
     rep = json.loads(proc.stdout)
     assert rep["error"]["type"] == "SizeLimitError" and message in rep["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, kind",
+    [
+        (["construct", "--family", "space-barrier", "--n", "100000000000", "--k", "2", "--s", "1",
+          "--m", "100000000000"], 2, "SizeLimitError"),
+        (["construct", "--family", "clique-minus", "--n", "100000000000", "--k", "2"], 2, "SizeLimitError"),
+        (["closeness", "{host}", "--m", "100000000000", "--s", "1"], 1, "DomainError"),
+    ],
+    ids=["space-barrier", "clique-minus", "closeness"],
+)
+def test_oversized_flag_ends_in_a_report_under_a_memory_cap(tmp_path, argv, code, kind):
+    # Each line once listed range(10^11) as a vertex set and died with a bare
+    # MemoryError traceback; n and m are now checked before any set is built.
+    pytest.importorskip("resource")
+    host = tmp_path / "host.json"
+    save(Hypergraph(6, 2, [(0, 1)]), host)
+    argv = [a.format(host=host) for a in argv]
+    if argv[0] == "construct":
+        argv += ["-o", str(tmp_path / "out.json")]
+    start = perf_counter()
+    proc = cli_under_a_memory_cap(*argv)
+    elapsed = perf_counter() - start
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr == "" and proc.stdout.count("\n") == 1
+    rep = json.loads(proc.stdout)
+    assert list(rep) == ["error"] and rep["error"]["type"] == kind
+    assert elapsed < 1.0
+    assert not (tmp_path / "out.json").exists()
 
 
 class TestMatchingBudget:

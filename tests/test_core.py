@@ -18,7 +18,7 @@ from hypermatch import (
     remove,
     to_json,
 )
-from hypermatch.core import weakest_set
+from hypermatch.core import _looks_up, weakest_set
 from hypermatch.rng import CounterRng, random_hypergraph
 
 seeds = st.integers(0, 10**9)
@@ -163,7 +163,7 @@ class TestSubgraphs:
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_induced_and_remove_match_brute_force(k):
     # Sets of every size, on sparse, dense and empty hosts, land on both sides
-    # of induced's route choice C(|S|, k) < e(H).
+    # of core._looks_up, the route rule induced asks.
     routes = set()
     for seed in range(6):
         rng = CounterRng(seed)
@@ -173,7 +173,7 @@ def test_induced_and_remove_match_brute_force(k):
                 for size in range(n + 1):
                     S = rng.sample(list(range(n)), size, n, size)
                     rest = [v for v in range(n) if v not in S]
-                    routes.add(comb(size, k) < H.num_edges)
+                    routes.add(_looks_up(H, size))
                     sub = induced(H, S)
                     assert sub.vertices == tuple(sorted(S)) and sub.graph.n == size
                     assert sub.graph.edges == brute_induced(H, S)

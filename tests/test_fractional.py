@@ -1,8 +1,5 @@
 import json
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,6 +25,8 @@ from hypermatch.errors import CertificationError, SizeLimitError
 from hypermatch.fractional import _simplex_optimum
 from hypermatch.pipeline import round1_sample
 from hypermatch.rng import CounterRng, random_hypergraph
+
+from conftest import cli_under_a_memory_cap
 
 seeds = st.integers(0, 10**9)
 
@@ -309,31 +308,13 @@ class TestTableauGuard:
         assert json.loads(capsys.readouterr().out)["results"]["nu_star"] == "7/3"
 
 
-def _fractional_under_a_memory_cap(path):
-    """Run `hypermatch fractional path` in a child capped at a 1 GiB address space."""
-    script = """
-import resource, sys
-hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
-resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-from hypermatch.cli import main
-sys.exit(main(sys.argv[1:]))
-"""
-    src = os.path.dirname(os.path.dirname(hypermatch.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-c", script, "fractional", str(path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-
-
 def test_sparse_host_solves_under_a_memory_cap(tmp_path):
     # A 40-byte file once asked for a 20,000 x 20,001 tableau and died with a
     # bare MemoryError; only its two covered vertices get rows now.
     pytest.importorskip("resource")  # the address-space cap is POSIX only
     path = tmp_path / "sparse.json"
     path.write_text('{"n": 20000, "k": 2, "edges": [[0, 1]]}')
-    proc = _fractional_under_a_memory_cap(path)
+    proc = cli_under_a_memory_cap("fractional", path)
     assert proc.returncode == 0, proc.stderr
     rep = json.loads(proc.stdout)
     assert rep["results"] == {"nu_star": "1", "perfect": False, "tau_star": "1"}
@@ -346,7 +327,7 @@ def test_host_past_the_tableau_guard_ends_in_a_report(tmp_path):
     assert 2047 * 2048 <= fractional.LP_MAX_CELLS < 2048 * 2049
     path = tmp_path / "pairs.json"
     path.write_text(json.dumps({"n": 2048, "k": 2, "edges": [[2 * i, 2 * i + 1] for i in range(1024)]}))
-    proc = _fractional_under_a_memory_cap(path)
+    proc = cli_under_a_memory_cap("fractional", path)
     assert proc.returncode == 2, proc.stderr
     rep = json.loads(proc.stdout)
     assert rep["error"]["type"] == "SizeLimitError"
