@@ -87,7 +87,8 @@ def max_matching(H: Hypergraph, force: bool = False) -> MatchingResult:
 
 
 def _lex_least_matching(H: Hypergraph, xs, force: bool) -> list:
-    """The lex-least maximum matching of H[xs], in host labels; xs is sorted.
+    """The lex-least maximum matching of H[xs], in host labels; xs lists
+    distinct host vertices in increasing order.
 
     A search state is a dead mask: covered vertices and those left uncovered
     for good. nu(dead) walks the skip chain: at the least live vertex v it

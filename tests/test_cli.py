@@ -459,8 +459,9 @@ def test_huge_host_ends_in_a_report_under_a_memory_cap(tmp_path, host, message):
     "argv, code, kind",
     [
         (["construct", "--family", "space-barrier", "--n", "100000000000", "--k", "2", "--s", "1",
-          "--m", "100000000000"], 2, "SizeLimitError"),
-        (["construct", "--family", "clique-minus", "--n", "100000000000", "--k", "2"], 2, "SizeLimitError"),
+          "--m", "100000000000", "-o", "{out}"], 2, "SizeLimitError"),
+        (["construct", "--family", "clique-minus", "--n", "100000000000", "--k", "2", "-o", "{out}"],
+         2, "SizeLimitError"),
         (["closeness", "{host}", "--m", "100000000000", "--s", "1"], 1, "DomainError"),
     ],
     ids=["space-barrier", "clique-minus", "closeness"],
@@ -471,9 +472,7 @@ def test_oversized_flag_ends_in_a_report_under_a_memory_cap(tmp_path, argv, code
     pytest.importorskip("resource")
     host = tmp_path / "host.json"
     save(Hypergraph(6, 2, [(0, 1)]), host)
-    argv = [a.format(host=host) for a in argv]
-    if argv[0] == "construct":
-        argv += ["-o", str(tmp_path / "out.json")]
+    argv = [a.format(host=host, out=tmp_path / "out.json") for a in argv]
     start = perf_counter()
     proc = cli_under_a_memory_cap(*argv)
     elapsed = perf_counter() - start
