@@ -234,7 +234,7 @@ def cmd_absorb(H, args):
 
 
 def cmd_round1(H, args):
-    sample = pipeline.round1_sample(H, args.copies, args.p, args.seed or 0)
+    sample = pipeline.round1_sample(H, args.copies, args.p, args.seed or 0, args.force)
     probes = tuple(_vertices(p) for p in args.probe_set or ())
     report = pipeline.check_round1_properties(sample, H, probes, args.xi)
     return "round-one-sample-properties", {
@@ -246,7 +246,7 @@ def cmd_round1(H, args):
 
 def cmd_sparsify(H, args):
     sparse, diag = pipeline.sparsify_stage(
-        H, args.copies, args.p, args.seed or 0, eps=args.eps
+        H, args.copies, args.p, args.seed or 0, eps=args.eps, force=args.force
     )
     if args.output:
         core.save(sparse, args.output)
@@ -255,7 +255,9 @@ def cmd_sparsify(H, args):
 
 
 def cmd_pipeline(H, args):
-    res = pipeline.almost_perfect_pipeline(H, args.copies, args.p, args.seed or 0, eps=args.eps)
+    res = pipeline.almost_perfect_pipeline(
+        H, args.copies, args.p, args.seed or 0, eps=args.eps, force=args.force
+    )
     results = {
         "matching": res.matching,
         "matching_size": len(res.matching),
@@ -405,8 +407,9 @@ def build_parser() -> _Parser:
     force_help = (
         "lift the berge size guard, the search budget of nu and alpha, the k-set "
         "enumeration guard of construct, stable-complete and absorb's family "
-        "sampler and the LP tableau guard of fractional and stable-complete; "
-        "closest and fdense scan every candidate set"
+        "sampler, the LP tableau guard of fractional and stable-complete and the "
+        "copies * n guard of round1, sparsify and pipeline; closest and fdense scan "
+        "every candidate set"
     )
     common.add_argument("--force", action="store_true", help=force_help)
     common.add_argument("--format", choices=("json", "csv"), default="json")

@@ -29,13 +29,16 @@ The edges of H[X] are found on one of two routes, and `_looks_up` alone picks
 it, for `induced` and exact's matching search: when C(|X|, k) < e(H) each
 k-subset of X is looked up in the edge set, otherwise one scan of the edges
 keeps those inside X. The cost is the smaller count either way.
+
+The minimum l-degree also pays for the smaller count: it splits each edge into
+its l-sets, or, when more than half the k-sets are edges, each missing k-set.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import chain, combinations
+from itertools import chain, combinations, filterfalse, repeat
 from math import comb
 from operator import lt
 from typing import Iterable, NamedTuple
@@ -250,8 +253,12 @@ def weakest_set(H: Hypergraph, l: int) -> tuple:
     """(T, d) attaining the minimum l-degree; lexicographically least minimizer.
 
     Each l-subset of each edge is counted once, then the l-sets are walked in
-    lex order, keeping the first strict minimum and stopping at degree 0:
-    e(H)·C(k, l) + C(n, l) dict operations rather than C(n, l)·e(H) mask tests.
+    lex order, keeping the first strict minimum and stopping at degree 0. When
+    2·e(H) > C(n, k), the l-subsets of each missing k-set are counted instead:
+    deg(T) = C(n - l, k - l) - lost(T), so T is the lex-least l-set that lost
+    the most (the least l-set when none did). Either way the counts cost
+    min(e(H), C(n, k) - e(H))·C(k, l) dict operations, plus the walk of the
+    C(n, l) l-sets or a pass over the C(n, k) k-sets.
     """
     if not 0 <= l <= H.k:
         raise DomainError(f"l must satisfy 0 <= l <= k, got l={l}")
@@ -259,7 +266,13 @@ def weakest_set(H: Hypergraph, l: int) -> tuple:
         raise DomainError(f"need n >= l, got n={H.n} < l={l}")
     if l == 0:
         return (), H.num_edges
-    counts = Counter(t for e in H.edges for t in combinations(e, l))
+    if not _comb_exceeds(H.n, H.k, 2 * H.num_edges - 1):  # most k-sets are edges
+        missing = filterfalse(H.edge_set.__contains__, combinations(range(H.n), H.k))
+        lost = Counter(chain.from_iterable(map(combinations, missing, repeat(l))))
+        most = max(lost.values(), default=0)
+        least = min((t for t, c in lost.items() if c == most), default=tuple(range(l)))
+        return least, comb(H.n - l, H.k - l) - most
+    counts = Counter(chain.from_iterable(map(combinations, H.edges, repeat(l))))
     best_t, best_d = None, None
     for t in combinations(range(H.n), l):
         d = counts[t]

@@ -5,7 +5,8 @@ fixed and documented:
 
 * max_matching returns the lexicographically least maximum matching, from
   the memoized search whose branch and readback orders _lex_least_matching
-  states. Its recursion depth is nu + 1. It stops with SizeLimitError after
+  states. It masks the edges at a vertex only when the search first reaches
+  that vertex. Its recursion depth is nu + 1. It stops with SizeLimitError after
   MATCHING_MAX_NODES evaluations unless forced, and, forced or not, once
   nu + 1 passes Python's recursion limit. The absorber test in absorbing
   runs the same search on a vertex subset of the host.
@@ -23,8 +24,10 @@ tie-breaks; the implementations here are sequential.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 from math import inf
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import core
@@ -107,8 +110,9 @@ def _lex_least_matching(H: Hypergraph, xs, force: bool) -> list:
     reaches the optimum holds the lex-least maximum matching.
 
     The edges at v are found on core._looks_up's route: the sets (v, *c), c
-    from the live vertices above v, looked up as the search asks, or one scan
-    of H's edges grouped by least vertex.
+    from the live vertices above v, looked up as the search asks, or the
+    lex-ordered slice of H[xs]'s edges that start at v, found by bisection and
+    masked when the search first reaches v, then kept for the call.
 
     Every nu call, memo hits included, counts against the budget.
     """
@@ -126,13 +130,16 @@ def _lex_least_matching(H: Hypergraph, xs, force: bool) -> list:
         starts = _mask(v for i, v in enumerate(xs)
                        if any((v, *c) in edge_set for c in combinations(xs[i + 1 :], k - 1)))
     else:
-        starts_at: dict = {}
-        for e in H.edges if every else filter(frozenset(xs).issuperset, H.edges):
-            starts_at.setdefault(e[0], []).append((e, _mask(e)))
-        starts = _mask(starts_at)
+        edges = H.edges if every else tuple(filter(frozenset(xs).issuperset, H.edges))
+        starts = _mask(set(map(itemgetter(0), edges)))
+        at_v: dict = {}
 
         def edges_at(v, dead):
-            return starts_at.get(v, ())
+            got = at_v.get(v)
+            if got is None:
+                at = edges[bisect_left(edges, (v,)) : bisect_left(edges, (v + 1,))]
+                got = at_v[v] = list(zip(at, map(_mask, at)))
+            return got
 
     limit = inf if force else MATCHING_MAX_NODES
     memo: dict = {}

@@ -20,7 +20,8 @@ Bands center on the exact means (copies*p for per-vertex multiplicity, n*p
 for copy size) with a halfwidth of max(mu^(3/4), 3 + 2*sqrt(mu)), a rational
 rounding of the usual concentration window that stays meaningful when the
 mean is tiny. Pair and edge multiplicities are capped at PAIR_CAP and
-EDGE_CAP.
+EDGE_CAP. Round one draws copies · n vertex flags and keeps every copy, so it
+stops with SizeLimitError past ROUND1_MAX_DRAWS of them unless forced.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ from itertools import combinations, compress
 
 from .constructions import comb0
 from .core import Hypergraph, _mask, induced, vertex_subset
-from .errors import CertificationError, DomainError, PipelineError
+from .errors import CertificationError, DomainError, PipelineError, SizeLimitError
 from .exact import independence_number
 from .fractional import fractional_optimum
 from .rng import TAG_ROUND1, TAG_ROUND2, TAG_TRIM, CounterRng
 
 PAIR_CAP = 2  # most copies any vertex pair may share
 EDGE_CAP = 1  # most copies any host edge may lie in
+ROUND1_MAX_DRAWS = 1 << 19  # most vertex draws, copies * n, round one makes without force
 
 
 @dataclass(frozen=True)
@@ -65,14 +67,18 @@ class RoundOneSample:
         )
 
 
-def round1_sample(H: Hypergraph, copies: int, p: Fraction, seed: int) -> RoundOneSample:
+def round1_sample(H: Hypergraph, copies: int, p: Fraction, seed: int, force: bool = False) -> RoundOneSample:
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise DomainError(f"p must lie in [0, 1], got {p}")
     if copies < 1:
         raise DomainError("need at least one copy")
-    rng = CounterRng(seed)
     n, k = H.n, H.k
+    if not force and copies * max(n, 1) > ROUND1_MAX_DRAWS:  # a copy of an empty host still costs a step
+        raise SizeLimitError(
+            f"round one enforces copies * n <= {ROUND1_MAX_DRAWS} vertex draws, got copies={copies}, n={n}"
+        )
+    rng = CounterRng(seed)
     out = []
     y = [0] * n
     for i in range(copies):
@@ -273,10 +279,10 @@ def certify_copies(H: Hypergraph, sample: RoundOneSample, eps: Fraction) -> tupl
 
 
 def sparsify_stage(
-    H: Hypergraph, copies: int, p: Fraction, seed: int, eps: Fraction = Fraction(1, 2)
+    H: Hypergraph, copies: int, p: Fraction, seed: int, eps: Fraction = Fraction(1, 2), force: bool = False
 ) -> tuple:
     """Rounds one and two together; returns (spanning subgraph, diagnostics)."""
-    sample = round1_sample(H, copies, p, seed)
+    sample = round1_sample(H, copies, p, seed, force)
     fracs, gate_diag = certify_copies(H, sample, eps)
     sparse = round2_sparsify(H, sample, fracs, seed)
     dmin, dmax, codeg = _degree_stats(sparse)
@@ -300,6 +306,7 @@ def almost_perfect_pipeline(
     p: Fraction,
     seed: int,
     eps: Fraction = Fraction(1, 2),
+    force: bool = False,
 ) -> PipelineResult:
     """Round 1, per-copy certificates, round 2, then the greedy matcher.
 
@@ -311,7 +318,7 @@ def almost_perfect_pipeline(
         diagnostics = {"short_circuit": "host has no edges"}
         return PipelineResult((), n, Fraction(1) if n else Fraction(0), diagnostics)
 
-    sparse, diagnostics = sparsify_stage(H, copies, p, seed, eps)
+    sparse, diagnostics = sparsify_stage(H, copies, p, seed, eps, force)
     matching = greedy_low_degradation_matching(sparse)
     uncovered = n - H.k * len(matching)
     diagnostics["greedy"] = {"size": len(matching)}

@@ -16,7 +16,7 @@ from hypermatch import (
     save,
     to_json,
 )
-from hypermatch import exact
+from hypermatch import exact, pipeline
 from hypermatch.cli import main
 from hypermatch.rng import random_hypergraph
 
@@ -463,12 +463,18 @@ def test_huge_host_ends_in_a_report_under_a_memory_cap(tmp_path, host, message):
         (["construct", "--family", "clique-minus", "--n", "100000000000", "--k", "2", "-o", "{out}"],
          2, "SizeLimitError"),
         (["closeness", "{host}", "--m", "100000000000", "--s", "1"], 1, "DomainError"),
+        (["round1", "{host}", "--copies", "100000000000", "--p", "1/2"], 2, "SizeLimitError"),
+        (["sparsify", "{host}", "--copies", "100000000000", "--p", "1/2", "-o", "{out}"],
+         2, "SizeLimitError"),
+        (["pipeline", "{host}", "--copies", "100000000000", "--p", "1/2"], 2, "SizeLimitError"),
     ],
-    ids=["space-barrier", "clique-minus", "closeness"],
+    ids=["space-barrier", "clique-minus", "closeness", "round1", "sparsify", "pipeline"],
 )
 def test_oversized_flag_ends_in_a_report_under_a_memory_cap(tmp_path, argv, code, kind):
-    # Each line once listed range(10^11) as a vertex set and died with a bare
-    # MemoryError traceback; n and m are now checked before any set is built.
+    # Each construct or closeness line once listed range(10^11) as a vertex
+    # set and died with a bare MemoryError traceback; n and m are now checked
+    # before any set is built. The --copies lines drew copy after copy, with
+    # no output, until memory ran out; copies * n is now checked first.
     pytest.importorskip("resource")
     host = tmp_path / "host.json"
     save(Hypergraph(6, 2, [(0, 1)]), host)
@@ -482,6 +488,23 @@ def test_oversized_flag_ends_in_a_report_under_a_memory_cap(tmp_path, argv, code
     assert list(rep) == ["error"] and rep["error"]["type"] == kind
     assert elapsed < 1.0
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["round1", "sparsify", "pipeline"])
+def test_force_lifts_the_copies_guard_and_draws_the_same_copies(capsys, monkeypatch, tmp_path, command):
+    host = tmp_path / "k9.json"
+    save(complete_hypergraph(9, 3), host)
+    argv = [command, str(host), "--copies", "3", "--p", "1/2", "--seed", "4"]
+    code, before = run_json(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(pipeline, "ROUND1_MAX_DRAWS", 26)  # copies * n = 27
+    code, rep = run_json(capsys, *argv)
+    assert code == 2 and rep["error"] == {
+        "type": "SizeLimitError",
+        "message": "round one enforces copies * n <= 26 vertex draws, got copies=3, n=9",
+    }
+    code, forced = run_json(capsys, *argv, "--force")
+    assert code == 0 and forced["results"] == before["results"]
 
 
 class TestMatchingBudget:

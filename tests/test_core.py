@@ -18,6 +18,7 @@ from hypermatch import (
     remove,
     to_json,
 )
+from hypermatch import core
 from hypermatch.core import _looks_up, weakest_set
 from hypermatch.rng import CounterRng, random_hypergraph
 
@@ -184,18 +185,29 @@ def test_induced_and_remove_match_brute_force(k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_weakest_set_matches_mask_scan(k):
+def test_weakest_set_matches_mask_scan(monkeypatch, k):
+    hosts = []
+    for n in (k, k + 2, 9):
+        ksets = list(combinations(range(n), k))
+        hosts += [Hypergraph(n, k, ksets[1:]), Hypergraph(n, k, ksets[:-1])]  # complete minus one k-set
+        # Each side of the switch to counting the missing k-sets, at 2e(H) = C(n, k).
+        hosts += [Hypergraph(n, k, ksets[i::2]) for i in (0, 1)]
+        hosts += [Hypergraph(n, k, ksets[: len(ksets) // 2 + 1])]
+        for seed in range(8):
+            for p in (0, Fraction(1, 5), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10), 1):
+                hosts.append(random_hypergraph(n, k, Fraction(p), seed))
+    # Record which count ran: the host's edges (a True verdict) or its missing k-sets.
+    real, counted = core._comb_exceeds, set()
+    monkeypatch.setattr(core, "_comb_exceeds", lambda *a: counted.add(real(*a)) or real(*a))
     zero_degree_seen = False
-    for seed in range(8):
-        for n in (k, k + 2, 9):
-            for p in (Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(1)):
-                H = random_hypergraph(n, k, p, seed)
-                for l in range(k + 1):
-                    T, d = weakest_set(H, l)
-                    assert (T, d) == mask_scan_weakest_set(H, l)
-                    assert d == brute_degree(H, T)
-                    zero_degree_seen |= d == 0 and l > 0
+    for H in hosts:
+        for l in range(k + 1):
+            T, d = weakest_set(H, l)
+            assert (T, d) == mask_scan_weakest_set(H, l)
+            assert d == brute_degree(H, T)
+            zero_degree_seen |= d == 0 and l > 0
     assert zero_degree_seen
+    assert counted == {True, False}
 
 
 class TestSerialization:

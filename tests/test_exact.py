@@ -1,6 +1,7 @@
 import gc
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -15,14 +16,15 @@ from hypermatch import (
     build_space_barrier,
     complete_hypergraph,
     independence_number,
+    induced,
     max_matching,
     remove,
     validate_matching,
 )
-from hypermatch import exact
+from hypermatch import core, exact
 from hypermatch.core import _mask
 from hypermatch.exact import MatchingResult
-from hypermatch.rng import random_hypergraph
+from hypermatch.rng import CounterRng, random_hypergraph
 from hypermatch.stability import random_stable_hypergraph
 
 seeds = st.integers(0, 10**9)
@@ -291,3 +293,35 @@ ORACLE_HOSTS = {
 def test_memoized_search_matches_branch_and_bound(family):
     for H in ORACLE_HOSTS[family]():
         assert max_matching(H) == bnb_max_matching(H), H
+
+
+def test_search_masks_only_the_edges_at_the_vertices_it_reaches(monkeypatch):
+    # On K30^(3) the search reaches 0, 3, ..., 27 and stops at each vertex
+    # after one edge, so it masks the 1,495 edges that start there, not all
+    # 4,060 (one more mask is the set of start vertices).
+    H = complete_hypergraph(30, 3)
+    expected = bnb_max_matching(H)
+    real, calls = exact._mask, []
+    monkeypatch.setattr(exact, "_mask", lambda vs: calls.append(1) or real(vs))
+    assert max_matching(H) == expected
+    assert len(calls) == 1 + sum(comb(29 - v, 2) for v in range(0, 30, 3)) == 1496
+
+
+def test_scan_route_on_a_vertex_subset_of_a_dense_host(monkeypatch):
+    # Dense hosts send small vertex sets to the lookup route; the forced scan
+    # route must still give the oracle's witness on H[X], in host labels.
+    cases = []
+    for i in range(120):
+        k = 2 + i % 3
+        n = k + 2 + i % (12 - k)
+        H = random_hypergraph(n, k, (Fraction(3, 4), Fraction(9, 10), Fraction(1))[i % 3], i)
+        X = sorted(CounterRng(i).sample(list(range(n)), k + i % (n - k), n))
+        sub = induced(H, X)
+        witness = bnb_max_matching(sub.graph).witness
+        cases.append((H, X, tuple(map(sub.lift, witness))))
+    routes = []
+    monkeypatch.setattr(core, "_looks_up", lambda H, size: routes.append(size) or False)
+    for H, X, witness in cases:
+        assert tuple(exact._lex_least_matching(H, X, False)) == witness, (H.edges, X)
+    assert routes == [len(X) for _, X, _ in cases]
+    assert all(len(X) < H.n for H, X, _ in cases)

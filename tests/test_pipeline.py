@@ -10,6 +10,7 @@ from hypermatch import (
     Hypergraph,
     PipelineError,
     RoundOneSample,
+    SizeLimitError,
     almost_perfect_pipeline,
     build_space_barrier,
     check_round1_properties,
@@ -19,6 +20,7 @@ from hypermatch import (
     round2_sparsify,
     validate_matching,
 )
+from hypermatch import pipeline
 from hypermatch.core import degree
 from hypermatch.pipeline import default_halfwidth, sparsify_stage
 from hypermatch.rng import TAG_EDGE_SAMPLE, CounterRng
@@ -69,6 +71,17 @@ class TestRoundOne:
     def test_deterministic(self):
         H = complete_hypergraph(9, 3)
         assert round1_sample(H, 6, HALF, 11).copies == round1_sample(H, 6, HALF, 11).copies
+
+    def test_copies_guard_and_force(self, monkeypatch):
+        H = complete_hypergraph(9, 3)
+        before = round1_sample(H, 6, HALF, 11)
+        monkeypatch.setattr(pipeline, "ROUND1_MAX_DRAWS", 6 * 9 - 1)
+        with pytest.raises(SizeLimitError, match="copies \\* n <= 53 vertex draws, got copies=6, n=9$"):
+            round1_sample(H, 6, HALF, 11)
+        assert round1_sample(H, 6, HALF, 11, force=True) == before
+        # A copy of an empty host is still a step of the loop.
+        with pytest.raises(SizeLimitError):
+            round1_sample(Hypergraph(0, 3, []), 54, HALF, 1)
 
     def test_parameter_validation(self):
         H = complete_hypergraph(9, 3)
