@@ -198,7 +198,12 @@ def test_weakest_set_matches_mask_scan(monkeypatch, k):
                 hosts.append(random_hypergraph(n, k, Fraction(p), seed))
     # Record which count ran: the host's edges (a True verdict) or its missing k-sets.
     real, counted = core._comb_exceeds, set()
-    monkeypatch.setattr(core, "_comb_exceeds", lambda *a: counted.add(real(*a)) or real(*a))
+
+    def comb_exceeds(*args):
+        counted.add(real(*args))
+        return real(*args)
+
+    monkeypatch.setattr(core, "_comb_exceeds", comb_exceeds)
     zero_degree_seen = False
     for H in hosts:
         for l in range(k + 1):
