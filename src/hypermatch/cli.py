@@ -236,7 +236,7 @@ def cmd_absorb(H, args):
 def cmd_round1(H, args):
     sample = pipeline.round1_sample(H, args.copies, args.p, args.seed or 0, args.force)
     probes = tuple(_vertices(p) for p in args.probe_set or ())
-    report = pipeline.check_round1_properties(sample, H, probes, args.xi)
+    report = pipeline.check_round1_properties(sample, H, probes, args.xi, args.force)
     return "round-one-sample-properties", {
         "copies": len(sample.copies),
         "sizes": [len(c) for c in sample.copies],
@@ -408,8 +408,8 @@ def build_parser() -> _Parser:
         "lift the berge size guard, the search budget of nu and alpha, the k-set "
         "enumeration guard of construct, stable-complete and absorb's family "
         "sampler, the LP tableau guard of fractional and stable-complete and the "
-        "copies * n guard of round1, sparsify and pipeline; closest and fdense scan "
-        "every candidate set"
+        "copies * n guard of round1, sparsify and pipeline and round1's pair and "
+        "k-set count guard; closest and fdense scan every candidate set"
     )
     common.add_argument("--force", action="store_true", help=force_help)
     common.add_argument("--format", choices=("json", "csv"), default="json")

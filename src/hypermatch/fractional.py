@@ -166,6 +166,8 @@ def fractional_optimum(H: Hypergraph, force: bool = False) -> FractionalSolution
     """Optimal fractional matching and cover with a certified duality gap of zero.
 
     The LP tableau is guarded by LP_MAX_CELLS (SizeLimitError) unless force.
+    A Fraction is built only for a nonzero weight; every zero weight is the
+    one module-level zero, built once.
     """
     x, y, _, D = _simplex_optimum(H, force)
     # Certificate checks, all exact, on the numerators over D > 0.
@@ -186,8 +188,8 @@ def fractional_optimum(H: Hypergraph, force: bool = False) -> FractionalSolution
     if nu != tau:
         raise CertificationError(f"duality gap: {Fraction(nu, D)} != {Fraction(tau, D)}")
     return FractionalSolution(
-        edge_weights={e: Fraction(w, D) for e, w in zip(H.edges, x)},
-        vertex_weights={v: Fraction(w, D) for v, w in enumerate(y)},
+        edge_weights={e: Fraction(w, D) if w else _ZERO for e, w in zip(H.edges, x)},
+        vertex_weights={v: Fraction(w, D) if w else _ZERO for v, w in enumerate(y)},
         nu_star=Fraction(nu, D),
         tau_star=Fraction(tau, D),
     )

@@ -21,7 +21,12 @@ for copy size) with a halfwidth of max(mu^(3/4), 3 + 2*sqrt(mu)), a rational
 rounding of the usual concentration window that stays meaningful when the
 mean is tiny. Pair and edge multiplicities are capped at PAIR_CAP and
 EDGE_CAP. Round one draws copies · n vertex flags and keeps every copy, so it
-stops with SizeLimitError past ROUND1_MAX_DRAWS of them unless forced.
+stops with SizeLimitError past ROUND1_MAX_DRAWS of them unless forced. The
+property report counts every pair and k-set of every copy, so it stops the
+same way when the sum over copies of C(|copy|, 2) + C(|copy|, k) passes
+core.ENUMERATE_MAX_KSETS, unless forced. The gate and the fractional check
+depend on a copy only through its induced graph, so `certify_copies` gates
+and solves each distinct induced graph once per call.
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations, compress, product
 
+from . import core
 from .constructions import comb0
 from .core import Hypergraph, _mask, induced, vertex_subset
 from .errors import CertificationError, DomainError, PipelineError, SizeLimitError
@@ -105,18 +111,30 @@ def _verdict(bad: list, **echo) -> dict:
 
 
 def check_round1_properties(
-    sample: RoundOneSample, H: Hypergraph, deg_probes=(), xi: Fraction = Fraction(1, 10)
+    sample: RoundOneSample, H: Hypergraph, deg_probes=(), xi: Fraction = Fraction(1, 10), force: bool = False
 ) -> dict:
     """Evaluate the five round-one properties exactly against derived bands.
 
     Returns a report keyed by property: per-vertex multiplicity band, pair
     multiplicity cap, edge multiplicity cap, copy-size band, and the degree
     lower bound at each probed set of at most k vertices. Every band used is
-    echoed in the report.
+    echoed in the report. The pair and edge caps count every pair and k-set
+    of every copy; past core.ENUMERATE_MAX_KSETS of them in all, this raises
+    SizeLimitError before counting any, unless force.
     """
     for D in deg_probes:
         if len(vertex_subset(H.n, D)) > H.k:
             raise DomainError(f"probe set larger than uniformity: |D|={len(D)} > k={H.k}")
+    if not force:
+        left = core.ENUMERATE_MAX_KSETS  # a running sum that stops at the cap
+        for (i, c), r in product(enumerate(sample.copies), (2, sample.k)):
+            if core._comb_exceeds(len(c), r, left):
+                raise SizeLimitError(
+                    f"round one's multiplicity count enforces the sum over copies of "
+                    f"C(|copy|, 2) + C(|copy|, k) <= {core.ENUMERATE_MAX_KSETS}, "
+                    f"passed at copy {i} (|copy|={len(c)}, k={sample.k})"
+                )
+            left -= comb0(len(c), r)
     singleton_center = len(sample.copies) * sample.p
     singleton_halfwidth = default_halfwidth(singleton_center)
     size_center = sample.n * sample.p
@@ -257,19 +275,26 @@ def certify_copies(H: Hypergraph, sample: RoundOneSample, eps: Fraction) -> tupl
 
     A copy survives when alpha(H[R]) <= (1 - 1/k - eps/5) * |R| and the
     induced subgraph has a perfect fractional matching. Returns (fracs,
-    diagnostics) where fracs[i] is a host-labeled weight map or None.
+    diagnostics) where fracs[i] is a host-labeled weight map or None. Both
+    depend on the copy only through its induced graph, so each distinct
+    induced graph is gated and solved once per call; every copy still gets
+    its own lifted weight map and skip entry, in copy order.
     """
     gate_cut = 1 - Fraction(1, H.k) - Fraction(eps) / 5
+    solved = {}  # induced graph -> (alpha, its fractional optimum or None when the gate fails)
     fracs = []
     skipped = []
     for i, copy in enumerate(sample.copies):
         sub = induced(H, copy)
-        alpha = independence_number(sub.graph).size
-        if alpha > gate_cut * len(copy):
+        if sub.graph not in solved:
+            alpha = independence_number(sub.graph).size
+            gated = alpha > gate_cut * len(copy)
+            solved[sub.graph] = (alpha, None if gated else fractional_optimum(sub.graph))
+        alpha, sol = solved[sub.graph]
+        if sol is None:
             fracs.append(None)
             skipped.append((i, "independence", alpha))
             continue
-        sol = fractional_optimum(sub.graph)
         if sol.nu_star != Fraction(len(copy), H.k):
             fracs.append(None)
             skipped.append((i, "not-perfect", str(sol.nu_star)))

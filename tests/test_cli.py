@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from math import ceil
+from math import ceil, comb
 from time import perf_counter
 
 import pytest
@@ -16,7 +16,7 @@ from hypermatch import (
     save,
     to_json,
 )
-from hypermatch import exact, pipeline
+from hypermatch import core, exact, pipeline
 from hypermatch.cli import main
 from hypermatch.rng import random_hypergraph
 
@@ -467,18 +467,30 @@ def test_huge_host_ends_in_a_report_under_a_memory_cap(tmp_path, host, message):
         (["sparsify", "{host}", "--copies", "100000000000", "--p", "1/2", "-o", "{out}"],
          2, "SizeLimitError"),
         (["pipeline", "{host}", "--copies", "100000000000", "--p", "1/2"], 2, "SizeLimitError"),
+        (["round1", "{wide}", "--copies", "1", "--p", "1"], 2, "SizeLimitError"),
+        (["round1", "{wide3}", "--copies", "1", "--p", "1"], 2, "SizeLimitError"),
     ],
-    ids=["space-barrier", "clique-minus", "closeness", "round1", "sparsify", "pipeline"],
+    ids=["space-barrier", "clique-minus", "closeness", "round1", "sparsify", "pipeline",
+         "round1-pairs", "round1-triples"],
 )
 def test_oversized_flag_ends_in_a_report_under_a_memory_cap(tmp_path, argv, code, kind):
     # Each construct or closeness line once listed range(10^11) as a vertex
     # set and died with a bare MemoryError traceback; n and m are now checked
     # before any set is built. The --copies lines drew copy after copy, with
-    # no output, until memory ran out; copies * n is now checked first.
+    # no output, until memory ran out; copies * n is now checked first. The
+    # last two lines draw one whole copy of a wide host, well under the copies
+    # guard, and then counted its C(20,000, 2) pairs, or C(3,000, 3) triples,
+    # until memory ran out; the pair and k-set count is now checked first.
     pytest.importorskip("resource")
-    host = tmp_path / "host.json"
-    save(Hypergraph(6, 2, [(0, 1)]), host)
-    argv = [a.format(host=host, out=tmp_path / "out.json") for a in argv]
+    hosts = {
+        "host": Hypergraph(6, 2, [(0, 1)]),
+        "wide": Hypergraph(20000, 2, [(0, 1)]),
+        "wide3": Hypergraph(3000, 3, [(0, 1, 2)]),
+    }
+    for name, H in hosts.items():
+        save(H, tmp_path / f"{name}.json")
+    paths = {name: tmp_path / f"{name}.json" for name in hosts}
+    argv = [a.format(**paths, out=tmp_path / "out.json") for a in argv]
     start = perf_counter()
     proc = cli_under_a_memory_cap(*argv)
     elapsed = perf_counter() - start
@@ -503,6 +515,21 @@ def test_force_lifts_the_copies_guard_and_draws_the_same_copies(capsys, monkeypa
         "type": "SizeLimitError",
         "message": "round one enforces copies * n <= 26 vertex draws, got copies=3, n=9",
     }
+    code, forced = run_json(capsys, *argv, "--force")
+    assert code == 0 and forced["results"] == before["results"]
+
+
+def test_force_lifts_the_multiplicity_count_guard_and_gives_the_same_report(capsys, monkeypatch, tmp_path):
+    host = tmp_path / "k9.json"
+    save(complete_hypergraph(9, 3), host)
+    argv = ["round1", str(host), "--copies", "3", "--p", "1/2", "--seed", "4"]
+    code, before = run_json(capsys, *argv)
+    assert code == 0
+    count = sum(comb(size, 2) + comb(size, 3) for size in before["results"]["sizes"])
+    monkeypatch.setattr(core, "ENUMERATE_MAX_KSETS", count - 1)
+    code, rep = run_json(capsys, *argv)
+    assert code == 2 and rep["error"]["type"] == "SizeLimitError"
+    assert f"C(|copy|, 2) + C(|copy|, k) <= {count - 1}, passed at copy 2" in rep["error"]["message"]
     code, forced = run_json(capsys, *argv, "--force")
     assert code == 0 and forced["results"] == before["results"]
 

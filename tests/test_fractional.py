@@ -147,12 +147,16 @@ def _over_denominator(H: Hypergraph):
 
 def _assert_matches_oracle(H: Hypergraph):
     # x, y and the value are compared one by one; the value is the tableau's
-    # own rhs entry, not a sum of y.
+    # own rhs entry, not a sum of y. fractional_optimum's weight maps, zeros
+    # included and in edge and vertex order, are then x and y as Fractions.
     x, y, value = _over_denominator(H)
     ref_x, ref_y, ref_value = _fraction_simplex_reference(H)
     assert x == ref_x, H.name
     assert y == ref_y, H.name
     assert value == ref_value, H.name
+    sol = fractional_optimum(H)
+    assert list(sol.edge_weights.items()) == list(zip(H.edges, x)), H.name
+    assert list(sol.vertex_weights.items()) == list(enumerate(y)), H.name
 
 
 def _pipeline_host(index: int) -> Hypergraph:
@@ -207,6 +211,12 @@ class TestIntegerSimplexMatchesFractionOracle:
             for s in (1, 2, 3):
                 for m in (1, n // 3):
                     _assert_matches_oracle(build_space_barrier(n, 3, s, m))
+
+    def test_mostly_zero_weights(self):
+        # K9^(3)'s optimum puts weight on 3 of its 84 edges; the other 81 are zeros.
+        H = complete_hypergraph(9, 3)
+        _assert_matches_oracle(H)
+        assert sum(w == 0 for w in fractional_optimum(H).edge_weights.values()) == 81
 
     def test_empty_host(self):
         H = Hypergraph(5, 3, [])

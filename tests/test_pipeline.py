@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -20,10 +21,12 @@ from hypermatch import (
     round2_sparsify,
     validate_matching,
 )
-from hypermatch import pipeline
-from hypermatch.core import degree
-from hypermatch.pipeline import default_halfwidth, sparsify_stage
-from hypermatch.rng import TAG_EDGE_SAMPLE, CounterRng
+from hypermatch import core, pipeline
+from hypermatch.core import degree, induced
+from hypermatch.exact import independence_number
+from hypermatch.fractional import fractional_optimum
+from hypermatch.pipeline import certify_copies, default_halfwidth, sparsify_stage
+from hypermatch.rng import TAG_EDGE_SAMPLE, CounterRng, random_hypergraph
 
 HALF = Fraction(1, 2)
 
@@ -126,6 +129,18 @@ class TestRoundOneProperties:
         report = check_round1_properties(sample, H, ((0,), (1,)), Fraction(1, 10))
         # Complete host at p=1: every probe sees its full degree.
         assert report["deg"]["ok"]
+
+    def test_multiplicity_count_guard_and_force(self, monkeypatch):
+        # Three copies of K9^(3) at p = 1: 3 * (C(9, 2) + C(9, 3)) = 360 pairs and triples.
+        H = complete_hypergraph(9, 3)
+        sample = round1_sample(H, 3, Fraction(1), seed=1)
+        before = check_round1_properties(sample, H)
+        monkeypatch.setattr(core, "ENUMERATE_MAX_KSETS", 360)
+        assert check_round1_properties(sample, H) == before
+        monkeypatch.setattr(core, "ENUMERATE_MAX_KSETS", 359)
+        with pytest.raises(SizeLimitError, match=re.escape("<= 359, passed at copy 2 (|copy|=9, k=3)")):
+            check_round1_properties(sample, H)
+        assert check_round1_properties(sample, H, force=True) == before
 
     def test_desk_scale_regression(self):
         # Frozen 2000-vertex combinatorial universe baseline.
@@ -241,3 +256,85 @@ def test_barrier_noise_pipeline_regression():
     assert validate_matching(H, res.matching)
     assert res.uncovered_count == 3  # frozen baseline
     assert res.uncovered_fraction <= Fraction(1, 10)
+
+
+def certify_every_copy(H, sample, eps):
+    """certify_copies as a plain loop that gates and solves every copy afresh."""
+    gate_cut = 1 - Fraction(1, H.k) - Fraction(eps) / 5
+    fracs, skipped = [], []
+    for i, copy in enumerate(sample.copies):
+        sub = induced(H, copy)
+        alpha = independence_number(sub.graph).size
+        if alpha > gate_cut * len(copy):
+            fracs.append(None)
+            skipped.append((i, "independence", alpha))
+            continue
+        sol = fractional_optimum(sub.graph)
+        if sol.nu_star != Fraction(len(copy), H.k):
+            fracs.append(None)
+            skipped.append((i, "not-perfect", str(sol.nu_star)))
+            continue
+        fracs.append({sub.lift(e): w for e, w in sol.edge_weights.items() if w > 0})
+    return fracs, {"skipped": skipped, "passed": sum(f is not None for f in fracs)}
+
+
+def k12_plus_isolated():
+    # A copy holding vertex 12 has an isolated vertex, so it passes the gate
+    # (alpha = 3) yet is not perfect.
+    return Hypergraph(13, 3, list(combinations(range(12), 3)), name="k12-plus-isolated")
+
+
+# (host, copies, p, seed): the benchmark's shape on K30^(3) and a barrier-noise
+# host, random 3-graphs whose small copies repeat and come out empty, and a
+# host with an isolated vertex.
+CERTIFY_CASES = {
+    "k30": (lambda: complete_hypergraph(30, 3), 10, Fraction(1, 4), 5),
+    "barrier-noise": (barrier_with_noise, 10, Fraction(1, 4), 5),
+    "random-12": (lambda: random_hypergraph(12, 3, Fraction(1, 3), 7012), 10, Fraction(1, 4), 5),
+    "random-15": (lambda: random_hypergraph(15, 3, Fraction(2, 3), 7015), 12, HALF, 5),
+    "k12-plus-isolated": (k12_plus_isolated, 12, HALF, 1),
+}
+
+
+def counting(monkeypatch, name):
+    """Wrap pipeline.<name> so each call is counted by its graph argument."""
+    calls = Counter()
+    real = getattr(pipeline, name)
+
+    def counted(G, *args, **kwargs):
+        calls[G] += 1
+        return real(G, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", CERTIFY_CASES)
+def test_certify_copies_gates_and_solves_each_distinct_induced_graph_once(monkeypatch, case):
+    make, copies, p, seed = CERTIFY_CASES[case]
+    H = make()
+    sample = round1_sample(H, copies, p, seed)
+    expected = certify_every_copy(H, sample, HALF)
+    gate_calls = counting(monkeypatch, "independence_number")
+    lp_calls = counting(monkeypatch, "fractional_optimum")
+    assert certify_copies(H, sample, HALF) == expected
+    graphs = [induced(H, c).graph for c in sample.copies]
+    gated = {i for i, reason, _ in expected[1]["skipped"] if reason == "independence"}
+    assert gate_calls == Counter(set(graphs))
+    assert lp_calls == Counter({G for i, G in enumerate(graphs) if i not in gated})
+
+
+def test_certify_cases_cover_every_outcome():
+    # Between them the cases repeat induced graphs and hold an empty copy, a
+    # copy that fails the gate, one that is not perfect and one that passes.
+    reasons, repeats, empty, passed = set(), 0, 0, 0
+    for make, copies, p, seed in CERTIFY_CASES.values():
+        H = make()
+        sample = round1_sample(H, copies, p, seed)
+        fracs, diagnostics = certify_every_copy(H, sample, HALF)
+        reasons |= {reason for _, reason, _ in diagnostics["skipped"]}
+        repeats += len(sample.copies) - len({induced(H, c).graph for c in sample.copies})
+        empty += sum(not c for c in sample.copies)
+        passed += diagnostics["passed"]
+    assert reasons == {"independence", "not-perfect"}
+    assert repeats and empty and passed
