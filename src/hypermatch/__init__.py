@@ -24,7 +24,9 @@ from .constructions import (
     build_space_barrier_at,
     comb0,
     space_barrier_edge_count,
+    theorem_m_range,
     threshold_formula,
+    threshold_sweep,
 )
 from .exact import (
     BergeCertificate,

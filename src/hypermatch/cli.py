@@ -15,6 +15,7 @@ call rather than at import, so importing the package stays cheap. A file
 command's handler receives the host read from its `file` argument, before it
 checks any flag of its own, and then the parsed arguments; every handler
 returns `(claim, results)`, and only `main` builds the report around them.
+Handlers only wire: every seeded draw, formula and trial loop is a library call.
 """
 
 from __future__ import annotations
@@ -25,13 +26,11 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from math import ceil, floor
 
 from . import closeness, constructions, core, fractional, pipeline, stability
-from .absorbing import AbsorbingParameters, absorb, default_parameters, sample_absorbing_family
-from .errors import CertificationError, DomainError, PipelineError, SizeLimitError
+from .absorbing import AbsorbingParameters, absorb, sample_absorbing_family
+from .errors import DomainError, PipelineError, SizeLimitError
 from .exact import berge_deficiency, independence_number, max_matching
-from .rng import TAG_SET_SAMPLE, CounterRng, random_hypergraph
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -271,128 +270,17 @@ def cmd_pipeline(H, args):
     return "almost-perfect-matching", results
 
 
-def _suite_katona(trials, seed):
-    rng = CounterRng(seed)
-    failures = 0
-    for t in range(trials):
-        k = 2 + rng.below(2, TAG_SET_SAMPLE, t, 0)
-        n = k + 1 + rng.below(10 - k, TAG_SET_SAMPLE, t, 1)
-        H = random_hypergraph(n, k, Fraction(1, 2), rng.raw(TAG_SET_SAMPLE, t, 2))
-        try:
-            stability.katona_check(H)
-        except CertificationError:
-            failures += 1
-    return {"trials": trials, "failures": failures}
-
-
-def _suite_frankl(trials, seed):
-    rng = CounterRng(seed)
-    applicable = holds = equality = 0
-    for t in range(trials):
-        k = 2 + rng.below(2, TAG_SET_SAMPLE, t, 0)
-        n = 6 + rng.below(5, TAG_SET_SAMPLE, t, 1)
-        gens = 1 + rng.below(3, TAG_SET_SAMPLE, t, 2)
-        H = stability.random_stable_hypergraph(n, k, rng.raw(TAG_SET_SAMPLE, t, 3), gens)
-        res = stability.frankl_bound_check(H)
-        if res.applicable:
-            applicable += 1
-            holds += res.holds
-            equality += H.num_edges == res.bound
-    return {
-        "trials": trials,
-        "applicable": applicable,
-        "holds": holds,
-        "violations": applicable - holds,
-        "equality_hits": equality,
-    }
-
-
-def _suite_stability2(trials, seed, n, rho):
-    if rho <= 0:
-        raise DomainError("rho must be a positive rational")
-    if n < 3:
-        raise DomainError(f"stability2 needs n >= 3 (the barrier set has m >= 3), got n={n}")
-    rng = CounterRng(seed)
-    checked = met = failures = skipped = 0
-    for t in range(trials):
-        gens = 1 + rng.below(4, TAG_SET_SAMPLE, t, 0)
-        G = stability.random_stable_hypergraph(n, 2, rng.raw(TAG_SET_SAMPLE, t, 1), gens)
-        m = 3 + rng.below(max(1, n // 2 - 3), TAG_SET_SAMPLE, t, 2)
-        try:
-            res = stability.stability_closeness_check(G, m, rho)
-        except DomainError:
-            skipped += 1  # matching number above m: hypotheses not satisfiable
-            continue
-        checked += 1
-        if res.hypotheses_met:
-            met += 1
-            if not res.conclusion_holds:
-                failures += 1
-    return {
-        "trials": trials,
-        "checked": checked,
-        "skipped": skipped,
-        "hypotheses_met": met,
-        "conclusion_failures": failures,
-        "note": "failures at desk scale would be asymptotic-regime artifacts; none expected",
-    }
-
-
 def cmd_verify(args):
-    if args.trials < 0:
-        raise DomainError(f"--trials must be non-negative, got {args.trials}")
-    seed = args.seed or 0
-    if args.suite == "katona":
-        return "shadow-bound-suite", _suite_katona(args.trials, seed)
-    if args.suite == "frankl":
-        return "edge-count-bound-suite", _suite_frankl(args.trials, seed)
-    return "graph-stability-closeness-suite", _suite_stability2(args.trials, seed, args.n, args.rho)
+    claim, suite = stability.SUITES[args.suite]
+    # Called through the module, so a suite patched or traced there is the one that runs.
+    return claim, getattr(stability, suite.__name__)(args.trials, args.seed or 0, n=args.n, rho=args.rho)
 
 
 def cmd_sweep(args):
-    k, l = args.k, args.l
-    if not 0 < l < k:
-        raise DomainError(f"need 0 < l < k, got k={k}, l={l}")
-    if args.search_trials < 0:
-        raise DomainError(f"--search-trials must be non-negative, got {args.search_trials}")
-    if not 0 <= args.search_p <= 1:
-        raise DomainError(f"--search-p must lie in [0, 1], got {args.search_p}")
-    # The theorem's m-range n/k - mu*n <= m <= n/k - 1 - (1 - l/k)*a needs l > k/2.
-    a = default_parameters(k, l).a if 2 * l > k else None
-    if args.n_start <= args.n_end:
-        core.check_enumeration(args.n_end, k)  # the largest row's barrier, before the first row
-    rng = CounterRng(args.seed or 0)
-    rows = []
-    for n in range(args.n_start, args.n_end + 1):
-        ms = set(args.m_list or ())
-        if a is not None:
-            upper = Fraction(n, k) - 1 - (1 - Fraction(l, k)) * a
-            ms.update(range(max(0, ceil(Fraction(n, k) - args.mu * n)), floor(upper) + 1))
-        for m in sorted(ms):
-            if m > n - l:
-                continue
-            barrier = constructions.build_space_barrier(n, k, k, m)
-            thr = constructions.threshold_formula(n, k, l, m)
-            delta = core.min_l_degree(barrier, l)
-            nu = max_matching(barrier).size
-            row = {
-                "n": n,
-                "m": m,
-                "threshold": thr,
-                "barrier_min_l_degree": delta,
-                "barrier_nu": nu,
-                "tight": delta == thr and nu == min(m, n // k),
-            }
-            if args.search_trials:
-                found = 0
-                for t in range(args.search_trials):
-                    H = random_hypergraph(n, k, args.search_p, rng.raw(TAG_SET_SAMPLE, n, m, t))
-                    if core.min_l_degree(H, l) > thr and max_matching(H).size <= m:
-                        found += 1
-                row["search_trials"] = args.search_trials
-                row["counterexamples_found"] = found
-            rows.append(row)
-    return "degree-threshold-tightness", {"k": k, "l": l, "mu": args.mu, "rows": rows}
+    return "degree-threshold-tightness", constructions.threshold_sweep(
+        args.k, args.l, args.n_start, args.n_end, args.mu, args.m_list,
+        args.search_trials, args.search_p, args.seed or 0,
+    )
 
 
 # ---------------------------------------------------------------- wiring
@@ -489,7 +377,7 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=_fraction, default=Fraction(1, 2))
 
     p = sub.add_parser("verify", parents=[common])
-    p.add_argument("--suite", choices=("katona", "frankl", "stability2"), required=True)
+    p.add_argument("--suite", choices=stability.SUITES, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--rho", type=_fraction, default=Fraction(1, 100))

@@ -1,4 +1,4 @@
-"""Generators for the extremal families and the degree threshold formula.
+"""Generators for the extremal families, the degree threshold formula and the theorem's m-range.
 
 The partition families put the cover side W on the lowest-numbered vertices,
 so their natural order agrees with the stability machinery (low indices are
@@ -9,11 +9,15 @@ large m.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import ceil, comb, floor
 
-from .core import Hypergraph, check_enumeration, vertex_subset
+from .absorbing import default_parameters
+from .core import Hypergraph, check_enumeration, min_l_degree, vertex_subset
 from .errors import DomainError
+from .exact import max_matching
+from .rng import TAG_SET_SAMPLE, CounterRng, random_hypergraph
 
 
 def comb0(a: int, b: int) -> int:
@@ -69,6 +73,59 @@ def threshold_formula(n: int, k: int, l: int, m: int) -> int:
     if not 0 <= m <= n - l:
         raise DomainError(f"need 0 <= m <= n-l, got m={m}")
     return comb0(n - l, k - l) - comb0(n - l - m, k - l)
+
+
+def theorem_m_range(n: int, k: int, l: int, mu) -> range:
+    """The theorem's m: n/k - mu*n <= m <= n/k - 1 - (1 - l/k)*a, for mu > 0; empty unless k/2 < l < k."""
+    if mu <= 0:
+        raise DomainError(f"mu must be a positive rational, got {mu}")
+    if not k < 2 * l < 2 * k:
+        return range(0)
+    upper = Fraction(n, k) - 1 - (1 - Fraction(l, k)) * default_parameters(k, l).a
+    return range(max(0, ceil(Fraction(n, k) - mu * n)), floor(upper) + 1)
+
+
+def threshold_sweep(k: int, l: int, n_start: int, n_end: int, mu=Fraction(1, 4), m_list=None,
+                    search_trials: int = 0, search_p=Fraction(3, 4), seed: int = 0) -> dict:
+    """A row per n in [n_start, n_end] and m <= n - l in theorem_m_range or m_list: the barrier
+    H^k_k(n, |W| = m) against the threshold, and a seeded search above it if search_trials."""
+    if not 0 < l < k:
+        raise DomainError(f"need 0 < l < k, got k={k}, l={l}")
+    if search_trials < 0:
+        raise DomainError(f"--search-trials must be non-negative, got {search_trials}")
+    if not 0 <= search_p <= 1:
+        raise DomainError(f"--search-p must lie in [0, 1], got {search_p}")
+    theorem_m_range(n_end, k, l, mu)  # refuses mu <= 0 even when no row follows
+    if n_start <= n_end:
+        check_enumeration(n_end, k)  # the largest row's barrier, before the first row
+    rng = CounterRng(seed)
+    rows = []
+    for n in range(n_start, n_end + 1):
+        for m in sorted(set(m_list or ()).union(theorem_m_range(n, k, l, mu))):
+            if m > n - l:
+                continue
+            barrier = build_space_barrier(n, k, k, m)
+            thr = threshold_formula(n, k, l, m)
+            delta = min_l_degree(barrier, l)
+            nu = max_matching(barrier).size
+            row = {
+                "n": n,
+                "m": m,
+                "threshold": thr,
+                "barrier_min_l_degree": delta,
+                "barrier_nu": nu,
+                "tight": delta == thr and nu == min(m, n // k),
+            }
+            if search_trials:  # a row without a search has neither key
+                found = 0
+                for t in range(search_trials):
+                    H = random_hypergraph(n, k, search_p, rng.raw(TAG_SET_SAMPLE, n, m, t))
+                    if min_l_degree(H, l) > thr and max_matching(H).size <= m:
+                        found += 1
+                row["search_trials"] = search_trials
+                row["counterexamples_found"] = found
+            rows.append(row)
+    return {"k": k, "l": l, "mu": mu, "rows": rows}
 
 
 def build_parity(na: int, nb: int, k: int, force: bool = False) -> Hypergraph:

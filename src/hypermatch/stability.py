@@ -23,7 +23,7 @@ from .constructions import space_barrier_edge_count
 from .core import Hypergraph, check_enumeration
 from .errors import CertificationError, DomainError
 from .exact import max_matching
-from .rng import TAG_CLOSURE, CounterRng, combination_unrank
+from .rng import TAG_CLOSURE, TAG_SET_SAMPLE, CounterRng, combination_unrank, random_hypergraph
 
 
 def _decrements(f):
@@ -167,3 +167,90 @@ def random_stable_hypergraph(n: int, k: int, seed: int, generator_count: int = 3
         for j in range(generator_count)
     ]
     return downward_closure(n, k, gens)
+
+
+def _trials(trials: int) -> range:
+    if trials < 0:
+        raise DomainError(f"--trials must be non-negative, got {trials}")
+    return range(trials)
+
+
+def katona_suite(trials: int, seed: int = 0, **_) -> dict:
+    """katona_check on seeded random 2- and 3-graphs of at most 10 vertices; a CertificationError fails."""
+    rng = CounterRng(seed)
+    failures = 0
+    for t in _trials(trials):
+        k = 2 + rng.below(2, TAG_SET_SAMPLE, t, 0)
+        n = k + 1 + rng.below(10 - k, TAG_SET_SAMPLE, t, 1)
+        H = random_hypergraph(n, k, Fraction(1, 2), rng.raw(TAG_SET_SAMPLE, t, 2))
+        try:
+            katona_check(H)
+        except CertificationError:
+            failures += 1
+    return {"trials": trials, "failures": failures}
+
+
+def frankl_suite(trials: int, seed: int = 0, **_) -> dict:
+    """frankl_bound_check on seeded random stable 2- and 3-graphs of 6 to 10 vertices."""
+    rng = CounterRng(seed)
+    applicable = holds = equality = 0
+    for t in _trials(trials):
+        k = 2 + rng.below(2, TAG_SET_SAMPLE, t, 0)
+        n = 6 + rng.below(5, TAG_SET_SAMPLE, t, 1)
+        gens = 1 + rng.below(3, TAG_SET_SAMPLE, t, 2)
+        H = random_stable_hypergraph(n, k, rng.raw(TAG_SET_SAMPLE, t, 3), gens)
+        res = frankl_bound_check(H)
+        if res.applicable:
+            applicable += 1
+            holds += res.holds
+            equality += H.num_edges == res.bound
+    return {
+        "trials": trials,
+        "applicable": applicable,
+        "holds": holds,
+        "violations": applicable - holds,
+        "equality_hits": equality,
+    }
+
+
+def stability2_suite(trials: int, seed: int = 0, n: int = 10, rho=Fraction(1, 100)) -> dict:
+    """stability_closeness_check at xi = rho on seeded random stable graphs; skips only nu > m."""
+    ts = _trials(trials)  # checked first, as in every suite
+    if rho <= 0:
+        raise DomainError("rho must be a positive rational")
+    if n < 3:
+        raise DomainError(f"stability2 needs n >= 3 (the barrier set has m >= 3), got n={n}")
+    rng = CounterRng(seed)
+    checked = met = failures = 0
+    for t in ts:
+        gens = 1 + rng.below(4, TAG_SET_SAMPLE, t, 0)
+        G = random_stable_hypergraph(n, 2, rng.raw(TAG_SET_SAMPLE, t, 1), gens)
+        m = 3 + rng.below(max(1, n // 2 - 3), TAG_SET_SAMPLE, t, 2)
+        try:
+            res = stability_closeness_check(G, m, rho)
+        except DomainError as exc:
+            # The check's own nu > m message: one matching search per trial.
+            if not str(exc).startswith("hypothesis failed: matching number"):
+                raise
+            continue
+        checked += 1
+        if res.hypotheses_met:
+            met += 1
+            if not res.conclusion_holds:
+                failures += 1
+    return {
+        "trials": trials,
+        "checked": checked,
+        "skipped": trials - checked,
+        "hypotheses_met": met,
+        "conclusion_failures": failures,
+        "note": "failures at desk scale would be asymptotic-regime artifacts; none expected",
+    }
+
+
+# Each `verify --suite` name: its claim and its function, called as f(trials, seed, n=, rho=).
+SUITES = {
+    "katona": ("shadow-bound-suite", katona_suite),
+    "frankl": ("edge-count-bound-suite", frankl_suite),
+    "stability2": ("graph-stability-closeness-suite", stability2_suite),
+}

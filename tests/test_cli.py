@@ -19,6 +19,7 @@ from hypermatch import (
 from hypermatch import core, exact, pipeline
 from hypermatch.cli import main
 from hypermatch.rng import random_hypergraph
+from hypermatch.stability import StabilityResult
 
 from conftest import cli_under_a_memory_cap
 
@@ -224,6 +225,13 @@ class TestBasicCommands:
         with pytest.raises(TypeError):
             main(["verify", "--suite", "katona", "--trials", "3"])
 
+    def test_stability2_suite_skips_only_a_matching_number_above_m(self, capsys, monkeypatch):
+        # Every trial of a host wrongly reported unstable used to count as a nu > m skip, exit 0.
+        monkeypatch.setattr("hypermatch.stability.is_stable", lambda H: StabilityResult(False, None))
+        code, rep = run_json(capsys, "verify", "--suite", "stability2", "--trials", "5", "--seed", "4")
+        assert code == 1 and list(rep) == ["error"]
+        assert rep["error"] == {"type": "DomainError", "message": "hypothesis failed: H is not stable, witness None"}
+
     def test_sweep_empty_range(self, capsys):
         code, rep = run_json(
             capsys, "sweep", "--k", "3", "--l", "2", "--n-start", "9", "--n-end", "8"
@@ -393,6 +401,24 @@ class TestErrorSurface:
                 ["sweep", "--k", "3", "--l", "2", "--n-start", "9", "--n-end", "9", "--search-trials", "2", "--search-p", "5/2"],
                 "--search-p must lie in [0, 1], got 5/2",
                 id="search-p-above-one",
+            ),
+            pytest.param(
+                None,
+                ["sweep", "--k", "3", "--l", "2", "--n-start", "9", "--n-end", "12", "--mu=-1"],
+                "mu must be a positive rational, got -1",
+                id="mu-negative",
+            ),
+            pytest.param(
+                None,
+                ["sweep", "--k", "3", "--l", "2", "--n-start", "9", "--n-end", "12", "--mu=0"],
+                "mu must be a positive rational, got 0",
+                id="mu-zero",
+            ),
+            pytest.param(
+                None,
+                ["sweep", "--k", "3", "--l", "2", "--n-start", "9", "--n-end", "8", "--mu=0"],
+                "mu must be a positive rational, got 0",
+                id="mu-zero-no-rows",
             ),
             pytest.param(
                 b'{"n": 6, "k": 3, "edges": [[0, 1, 2]]}',

@@ -1,6 +1,7 @@
 import json
+from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import ceil, comb
 
 import pytest
 
@@ -14,6 +15,7 @@ from hypermatch import (
     max_matching,
     min_l_degree,
     space_barrier_edge_count,
+    theorem_m_range,
     threshold_formula,
     to_json,
 )
@@ -97,6 +99,47 @@ class TestThresholdFormula:
             threshold_formula(9, 3, 3, 2)
         with pytest.raises(DomainError):
             threshold_formula(9, 3, 1, 9)
+
+
+class TestTheoremMRange:
+    """The paper's m-range n/k - mu*n <= m <= n/k - 1 - (1 - l/k)*ceil((k-l)/(2l-k)), for k/2 < l < k."""
+
+    @pytest.mark.parametrize("mu", [Fraction(1, 10), Fraction(1, 4), Fraction(1)])
+    def test_literal_statement(self, mu):
+        for k in range(3, 10):
+            for l in range(1, k):
+                for n in range(k, 61):
+                    got = theorem_m_range(n, k, l, mu)
+                    if 2 * l <= k:
+                        assert len(got) == 0
+                        continue
+                    a = ceil(Fraction(k - l, 2 * l - k))
+                    lower, upper = Fraction(n, k) - mu * n, Fraction(n, k) - 1 - (1 - Fraction(l, k)) * a
+                    assert list(got) == [m for m in range(n + 1) if lower <= m <= upper]
+
+    def test_reaches_the_tight_case_of_the_abstract(self):
+        # 3l >= 2k and n = r (mod k) with r + l >= k: the theorem's m reaches ceil(n/k) - 2.
+        mu = Fraction(1, 4)
+        cases, below_mu = 0, []
+        for k in range(3, 10):
+            for l in range(-(-2 * k // 3), k):
+                for n in range(k, 400):
+                    if n % k + l < k:
+                        continue
+                    cases += 1
+                    got, target = theorem_m_range(n, k, l, mu), ceil(Fraction(n, k)) - 2
+                    assert got.stop - 1 >= target
+                    if target >= max(0, ceil(Fraction(n, k) - mu * n)):
+                        assert target in got
+                    else:
+                        below_mu.append((k, l, n))
+        assert cases == 3629
+        assert below_mu == [(3, 2, 4), (3, 2, 5)]
+
+    @pytest.mark.parametrize("mu", [Fraction(0), Fraction(-1), -1])
+    def test_mu_must_be_positive(self, mu):
+        with pytest.raises(DomainError, match=f"mu must be a positive rational, got {mu}"):
+            theorem_m_range(12, 3, 2, mu)
 
 
 class TestParity:

@@ -15,13 +15,14 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import hypermatch
-from hypermatch import Hypergraph, build_parity, build_space_barrier, complete_hypergraph, save
-from hypermatch import cli
+from hypermatch import Hypergraph, SizeLimitError, build_parity, build_space_barrier, complete_hypergraph, save
+from hypermatch import cli, stability, threshold_sweep
 from hypermatch.cli import main
 
 from conftest import FANO_LINES
@@ -167,3 +168,32 @@ class TestOneParserPerProcess:
         # The first call builds the whole tree; later calls build nothing.
         assert counts[0] > 0 and counts == counts[:1] * 4
         assert built[0] is cli.build_parser()
+
+
+# The library calls behind each pinned verify and sweep line, with the same parameters.
+LIBRARY_CALLS = {
+    "verify --suite katona --trials 3 --seed 4": lambda: stability.katona_suite(3, seed=4),
+    "verify --suite frankl --trials 3 --seed 4": lambda: stability.frankl_suite(3, seed=4),
+    "verify --suite stability2 --trials 3 --seed 4": (
+        lambda: stability.stability2_suite(3, seed=4, n=10, rho=Fraction(1, 100))
+    ),
+    "sweep --k 3 --l 2 --n-start 9 --n-end 10 --m-list 1,2 --search-trials 2 --seed 5": (
+        lambda: threshold_sweep(3, 2, 9, 10, m_list=[1, 2], search_trials=2, seed=5)
+    ),
+}
+
+
+def test_every_pinned_verify_and_sweep_line_has_its_library_call():
+    assert list(LIBRARY_CALLS) == [line for line in CASES if line.split()[0] in ("verify", "sweep")]
+
+
+@pytest.mark.parametrize("line", LIBRARY_CALLS)
+def test_library_call_gives_the_golden_results(line):
+    assert cli._jsonable(LIBRARY_CALLS[line]()) == json.loads(golden(line))["results"]
+
+
+def test_library_sweep_raises_the_golden_error():
+    line = "sweep --k 3 --l 2 --n-start 6 --n-end 99"
+    with pytest.raises(SizeLimitError) as caught:
+        threshold_sweep(3, 2, 6, 99)
+    assert json.loads(golden(line))["error"] == {"type": "SizeLimitError", "message": str(caught.value)}
