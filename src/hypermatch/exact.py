@@ -4,8 +4,9 @@ These are the oracles every property suite trusts, so the branch orders are
 fixed and documented:
 
 * max_matching returns the lexicographically least maximum matching, from
-  the memoized search whose branch and readback orders _lex_least_matching
-  states. It masks the edges at a vertex only when the search first reaches
+  the memoized search whose branch order _lex_least_matching states; the
+  witness is read back from the recorded picks, charged as the chain walk
+  was. It masks the edges at a vertex only when the search first reaches
   that vertex. Its recursion depth is nu + 1. It stops with SizeLimitError after
   MATCHING_MAX_NODES evaluations unless forced, and, forced or not, once
   nu + 1 passes Python's recursion limit. The absorber test in absorbing
@@ -102,12 +103,16 @@ def _lex_least_matching(H: Hypergraph, xs, force: bool) -> list:
     per call on the dead mask, and only a taken edge recurses, so the depth
     is nu + 1.
 
-    The witness is read back from the root: take the first edge, in chain
-    order then lex order, whose child reaches the state's value, and repeat
-    in that child. Each matching has one path, and where two paths part the
+    The witness is the path from the root that takes, in each state, the
+    first edge, in chain order then lex order, whose child reaches the
+    state's value. Each matching has one path, and where two paths part the
     one taking an edge, or the lex-smaller edge, comes first; so among
     matchings of one size, preorder is lex order, and the first child that
-    reaches the optimum holds the lex-least maximum matching.
+    reaches the optimum holds the lex-least maximum matching. That edge is
+    the one that raised the state's best to its final value, so nu records
+    it with its child and the count of edges it tried up to it; the witness
+    is read back from the recorded picks, charged as the chain walk was: one
+    evaluation per edge tried.
 
     The edges at v are found on core._looks_up's route: the sets (v, *c), c
     from the live vertices above v, looked up as the search asks, or the
@@ -127,8 +132,9 @@ def _lex_least_matching(H: Hypergraph, xs, force: bool) -> list:
                 if (v, *c) in edge_set:
                     yield (v, *c), _mask(c) | 1 << v
 
-        starts = _mask(v for i, v in enumerate(xs)
-                       if any((v, *c) in edge_set for c in combinations(xs[i + 1 :], k - 1)))
+        contains = edge_set.__contains__
+        starts = _mask(v for i, v in enumerate(xs[: len(xs) - k + 1])
+                       if any(map(contains, map((v,).__add__, combinations(xs[i + 1 :], k - 1)))))
     else:
         edges = H.edges if every else tuple(filter(frozenset(xs).issuperset, H.edges))
         starts = _mask(set(map(itemgetter(0), edges)))
@@ -143,20 +149,24 @@ def _lex_least_matching(H: Hypergraph, xs, force: bool) -> list:
 
     limit = inf if force else MATCHING_MAX_NODES
     memo: dict = {}
+    picks: dict = {}  # dead -> (edge, child, edges tried), for a state with nu > 0
     evaluations = 0
+
+    def over_budget() -> SizeLimitError:
+        e = sum(m & full == m for m in map(_mask, H.edges))
+        return SizeLimitError(
+            f"the exact matching search enforces at most {limit} search "
+            f"evaluations; n={full.bit_count()}, e={e}"
+        )
 
     def nu(dead: int) -> int:
         nonlocal evaluations
         evaluations += 1
         if evaluations > limit:
-            e = sum(m & full == m for m in map(_mask, H.edges))
-            raise SizeLimitError(
-                f"the exact matching search enforces at most {limit} search "
-                f"evaluations; n={full.bit_count()}, e={e}"
-            )
+            raise over_budget()
         if dead in memo:
             return memo[dead]
-        best, d = 0, dead
+        best, d, tried = 0, dead, 0
         while True:
             live = full & ~d
             bound = min(live.bit_count() // k, (starts & live).bit_count())
@@ -165,28 +175,20 @@ def _lex_least_matching(H: Hypergraph, xs, force: bool) -> list:
             v = (live & -live).bit_length() - 1
             for e, m in edges_at(v, d):
                 if not m & d:
+                    tried += 1
                     got = 1 + nu(d | m)
                     if got > best:
-                        best = got
+                        best, pick = got, (e, d | m, tried)
                         if best >= bound:
                             break
             d |= 1 << v  # v stays uncovered for good
         memo[dead] = best
+        if best:
+            picks[dead] = pick
         return best
 
-    witness = []
     try:
-        need, d = nu(0), 0
-        while need:
-            live = full & ~d
-            v = (live & -live).bit_length() - 1
-            for e, m in edges_at(v, d):
-                if not m & d and 1 + nu(d | m) == need:
-                    witness.append(e)
-                    need, d = need - 1, d | m
-                    break
-            else:
-                d |= 1 << v
+        nu(0)
     except RecursionError:
         raise SizeLimitError(
             "the exact matching search recurses once per matching edge, and this matching is "
@@ -194,6 +196,13 @@ def _lex_least_matching(H: Hypergraph, xs, force: bool) -> list:
         ) from None
     finally:
         nu = None  # breaks the cycle nu -> its closure -> nu, so the memo is freed now
+    witness, d = [], 0
+    while d in picks:
+        e, d, tried = picks[d]
+        evaluations += tried
+        if evaluations > limit:
+            raise over_budget()
+        witness.append(e)
     return witness
 
 

@@ -108,27 +108,38 @@ class CounterRng:
         return chain.from_iterable(map(block, range(0, count, size)))
 
     def below(self, bound: int, *key: int) -> int:
-        """Uniform integer in [0, bound), unbiased via rejection."""
-        if bound <= 0:
-            raise DomainError("below() needs a positive bound")
-        limit = (1 << 64) - ((1 << 64) % bound)
-        retry = 0
-        while True:
-            v = self.raw(*key, retry)
-            if v < limit:
-                return v % bound
-            retry += 1
+        """Uniform integer in [0, bound), unbiased via rejection; bound is at most 2^64."""
+        return _below(bound, self.raw(*key))
 
     def sample(self, population: list, size: int, *key: int) -> list:
-        """Uniform sample without replacement, order-stable given the key."""
+        """Uniform sample without replacement, order-stable given the key.
+
+        Element j is popped at self.below(len(pool), *key, j). The key prefix
+        is hashed once: raw(*key, j, retry) is splitmix64(splitmix64(raw(*key)
+        ^ j) ^ retry).
+        """
         if size > len(population):
             raise DomainError("sample larger than population")
+        if size < 0:
+            raise DomainError(f"sample size must be non-negative, got {size}")
+        prefix = self.raw(*key)
         pool = list(population)
-        out = []
-        for j in range(size):
-            idx = self.below(len(pool), *key, j)
-            out.append(pool.pop(idx))
-        return out
+        return [pool.pop(_below(len(pool), splitmix64(prefix ^ j))) for j in range(size)]
+
+
+def _below(bound: int, h: int) -> int:
+    """The rejection draw of CounterRng.below from h, the hash of its key:
+    the first splitmix64(h ^ retry), retry = 0, 1, ..., below the largest
+    multiple of bound that is at most 2^64, reduced mod bound."""
+    if bound <= 0:
+        raise DomainError("below() needs a positive bound")
+    if bound > 1 << 64:
+        raise DomainError(f"below() needs a bound of at most 2^64, got {bound}")
+    limit = (1 << 64) - (1 << 64) % bound
+    retry = 0
+    while (v := splitmix64(h ^ retry)) >= limit:
+        retry += 1
+    return v % bound
 
 
 def combination_unrank(n: int, k: int, rank: int) -> tuple:

@@ -60,6 +60,17 @@ class TestMaxMatching:
             max_matching(H)
         assert max_matching(H, force=True) == expected == (3, ((0, 1, 2), (3, 4, 5), (6, 7, 8)))
 
+    def test_readback_is_charged_to_the_budget(self, monkeypatch):
+        # On K9^(3) the search takes 4 evaluations (the root, then one edge
+        # per level); reading back the witness charges the 3 edges it takes,
+        # as a walk that asked nu again of each would: 7 in all.
+        H = complete_hypergraph(9, 3)
+        monkeypatch.setattr(exact, "MATCHING_MAX_NODES", 6)
+        with pytest.raises(SizeLimitError, match="at most 6 search evaluations; n=9, e=84$"):
+            max_matching(H)
+        monkeypatch.setattr(exact, "MATCHING_MAX_NODES", 7)
+        assert max_matching(H).witness == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+
 
     def test_leaves_no_reference_cycle(self):
         # A cycle through the search's closure would keep its memo and edge

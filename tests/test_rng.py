@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -53,6 +53,29 @@ class TestCounterRng:
         assert set(out) <= set(pop)
         with pytest.raises(DomainError):
             rng.sample([1, 2], 3, 0)
+        with pytest.raises(DomainError):
+            rng.sample([1, 2], -1, 0)
+
+    def test_below_at_the_largest_bound(self):
+        # At 2^64 no draw is rejected, so the value is the first draw itself.
+        rng = CounterRng(0)
+        assert rng.below(1 << 64) == rng.raw(0) == 12035550249420947055
+        # Above 2^64 every draw would be rejected; it must raise, not loop.
+        with pytest.raises(DomainError):
+            rng.below((1 << 64) + 1)
+
+    def test_sample_equals_the_below_reference(self):
+        rng = CounterRng(11)
+
+        def reference(population, size, *key):
+            pool = list(population)
+            return [pool.pop(rng.below(len(pool), *key, j)) for j in range(size)]
+
+        for length, n in product(range(4), range(1, 41)):
+            key = (n, 7, 3 * n + 1)[:length]
+            population = [10 * v + 1 for v in range(n)]
+            for size in range(n + 1):
+                assert rng.sample(population, size, *key) == reference(population, size, *key)
 
 
 @given(st.integers(2, 9), st.integers(1, 4))
