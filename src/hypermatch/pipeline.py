@@ -120,8 +120,12 @@ def check_round1_properties(
     lower bound at each probed set of at most k vertices. Every band used is
     echoed in the report. The pair and edge caps count every pair and k-set
     of every copy; past core.ENUMERATE_MAX_KSETS of them in all, this raises
-    SizeLimitError before counting any, unless force.
+    SizeLimitError before counting any, unless force. The degree slack xi
+    must be positive.
     """
+    xi = Fraction(xi)
+    if xi <= 0:
+        raise DomainError("xi must be a positive rational")
     for D in deg_probes:
         if len(vertex_subset(H.n, D)) > H.k:
             raise DomainError(f"probe set larger than uniformity: |D|={len(D)} > k={H.k}")
@@ -278,9 +282,13 @@ def certify_copies(H: Hypergraph, sample: RoundOneSample, eps: Fraction) -> tupl
     diagnostics) where fracs[i] is a host-labeled weight map or None. Both
     depend on the copy only through its induced graph, so each distinct
     induced graph is gated and solved once per call; every copy still gets
-    its own lifted weight map and skip entry, in copy order.
+    its own lifted weight map and skip entry, in copy order. The gate's
+    slack eps must be positive.
     """
-    gate_cut = 1 - Fraction(1, H.k) - Fraction(eps) / 5
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise DomainError("eps must be a positive rational")
+    gate_cut = 1 - Fraction(1, H.k) - eps / 5
     solved = {}  # induced graph -> (alpha, its fractional optimum or None when the gate fails)
     fracs = []
     skipped = []

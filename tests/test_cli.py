@@ -1,3 +1,4 @@
+import gc
 import json
 from fractions import Fraction
 from math import ceil, comb
@@ -369,6 +370,36 @@ class TestErrorSurface:
                 None,
                 id="probe-vertex-outside",
             ),
+            pytest.param(
+                to_json(complete_hypergraph(6, 3)).encode(),
+                ["pipeline", "{file}", "--copies", "3", "--p", "1/2", "--eps", "-1"],
+                "eps must be a positive rational",
+                id="pipeline-eps-negative",
+            ),
+            pytest.param(
+                to_json(complete_hypergraph(6, 3)).encode(),
+                ["pipeline", "{file}", "--copies", "3", "--p", "1/2", "--eps", "0"],
+                "eps must be a positive rational",
+                id="pipeline-eps-zero",
+            ),
+            pytest.param(
+                to_json(complete_hypergraph(6, 3)).encode(),
+                ["sparsify", "{file}", "--copies", "3", "--p", "1/2", "--eps", "-1"],
+                "eps must be a positive rational",
+                id="sparsify-eps-negative",
+            ),
+            pytest.param(
+                to_json(complete_hypergraph(6, 3)).encode(),
+                ["round1", "{file}", "--copies", "3", "--p", "1/2", "--xi", "0"],
+                "xi must be a positive rational",
+                id="round1-xi-zero",
+            ),
+            pytest.param(
+                to_json(complete_hypergraph(6, 3)).encode(),
+                ["round1", "{file}", "--copies", "3", "--p", "1/2", "--xi", "-1"],
+                "xi must be a positive rational",
+                id="round1-xi-negative",
+            ),
             pytest.param(None, ["verify", "--suite", "stability2", "--rho", "0"], None, id="stability2-rho-zero"),
             pytest.param(None, ["verify", "--suite", "stability2", "--n", "2"], None, id="stability2-n-below-three"),
             pytest.param(None, ["verify", "--suite", "katona", "--trials", "-3"], None, id="negative-trials"),
@@ -619,6 +650,40 @@ class TestMatchingBudget:
         assert code == 0 and rep["parameters"]["force"] is True and rep["results"]["size"] == 7
         code, rep = run_json(capsys, "pipeline", barrier_file, "--copies", "1", "--p", "1", "--force")
         assert code == 2 and "independence search" in rep["error"]["message"]
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("kind", ["report", "error", "exception"])
+    def test_paused_during_the_command_and_restored_after(
+        self, capsys, monkeypatch, fano_file, tmp_path, kind, collecting
+    ):
+        # `main` runs the command with the cyclic collector paused, then restores
+        # the caller's setting, however the command ends.
+        seen = []  # whether the collector ran while the host was read
+        load = core.load
+
+        def spy(path):
+            seen.append(gc.isenabled())
+            if kind == "exception":
+                raise RuntimeError("handler bug")
+            return load(path)
+
+        monkeypatch.setattr(core, "load", spy)
+        if not collecting:
+            gc.disable()
+        try:
+            if kind == "exception":
+                with pytest.raises(RuntimeError, match="handler bug"):
+                    main(["nu", fano_file])
+            elif kind == "error":
+                assert run(capsys, "nu", str(tmp_path / "missing.json"))[0] == 1
+            else:
+                assert run(capsys, "nu", fano_file)[0] == 0
+            assert gc.isenabled() == collecting
+        finally:
+            gc.enable()
+        assert seen == [False]
 
 
 class TestReportDiscipline:

@@ -4,12 +4,14 @@
 printed when the handlers still copied result fields into dicts by hand
 (`CASES` up to the absorb lines), or when every command still built its own
 parser, loaded its own host and wrapped its own report (the rest, with
-`CSV_CASE` and `ERROR_CASES`). Hosts and outputs are written under relative
-names, so the echoed `file` and `output` parameters do not depend on where
-the test runs.
+`CSV_CASE` and the first `ERROR_CASES`), or when the library first refused a
+non-positive eps or xi (the last `ERROR_CASES`). Hosts and outputs are written
+under relative names, so the echoed `file` and `output` parameters do not
+depend on where the test runs.
 """
 
 import argparse
+import gc
 import json
 import os
 import shlex
@@ -73,6 +75,9 @@ ERROR_CASES = {
     "nu missing.json": 1,
     "sweep --k 3 --l 2 --n-start 6 --n-end 99": 2,
     "pipeline graph.json --copies 1 --p 1": 3,
+    "pipeline k12.json --copies 3 --p 1/2 --eps -1": 1,
+    "sparsify k12.json --copies 6 --p 2/3 --seed 5 --eps 0": 1,
+    "round1 k12.json --copies 2 --p 1/2 --seed 1 --xi 0": 1,
 }
 
 
@@ -128,6 +133,22 @@ def test_csv_fields_follow_json_key_order(capsys, host_dir, line):
     _, out = run(capsys, line)
     _, csv_text = run(capsys, line + " --format csv")
     assert csv_fields(csv_text) == json_fields(json.loads(out))
+
+
+@pytest.mark.parametrize("line", [*CASES, CSV_CASE, *ERROR_CASES])
+def test_leaves_no_reference_cycle(capsys, host_dir, line):
+    # main pauses the collector for the command, so a garbage cycle it left
+    # would stay in memory until the collector next ran. Building the parser
+    # leaves one (its temporary `common` parent parser), but once per process,
+    # so the parser is built and that cycle collected before measuring.
+    cli.build_parser()
+    gc.collect()
+    gc.disable()
+    try:
+        run(capsys, line)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestOneParserPerProcess:
