@@ -10,17 +10,26 @@ pipeline or absorption.
 Rational-valued flags are parsed as p/q strings; nothing here accepts a
 float. Reports are data: rendering and plotting belong downstream.
 
-Wiring: the argparse tree is built once per process, on the first `main`
-call rather than at import, so importing the package stays cheap. A file
-command's handler receives the host read from its `file` argument, before it
-checks any flag of its own, and then the parsed arguments; every handler
-returns `(claim, results)`, and only `main` builds the report around them.
-Handlers only wire: every seeded draw, formula and trial loop is a library call.
+Wiring: each subcommand is defined once, in `_SUBCOMMANDS`: its handler,
+whether the handler reads a host from a `file` argument, and what adds its own
+flags. When the first argument names a subcommand, `main` parses with a tree
+that holds only that subcommand; any other line (no arguments, `-h`, an
+unknown command, an option first) gets the whole tree, so top-level help and
+the invalid-choice message list every command. Each tree is built once per
+process, on first use rather than at import, so importing the package stays
+cheap and a command pays only for its own flags. A file command's handler
+receives the host read from its `file` argument, before it checks any flag of
+its own, and then the parsed arguments; every handler returns
+`(claim, results)`, and only `main` builds the report around them. Handlers
+only wire: every seeded draw, formula and trial loop is a library call.
 `main` pauses the cyclic garbage collector for the whole command and then
 restores the caller's setting, so a host's many small lists and tuples are not
 scanned again and again. This is sound because no command leaves a reference
-cycle (a test checks every pinned command line): reference counting alone frees
-everything, so peak memory is what it would be with the collector running.
+cycle (a test checks every pinned command line, parser build included):
+reference counting alone frees everything, so peak memory is what it would be
+with the collector running. The one exception is argparse's own: adding a flag
+formats it with a fresh help formatter, which refers to itself, so a new tree
+collects the youngest generation, where those formatters are, before it is used.
 """
 
 from __future__ import annotations
@@ -290,12 +299,8 @@ def cmd_sweep(args):
 # ---------------------------------------------------------------- wiring
 
 
-@functools.cache
-def build_parser() -> _Parser:
-    # The help text is the docstring without its wiring note, which is for readers of this module.
-    parser = _Parser(prog="hypermatch", description=__doc__ and __doc__.partition("\n\nWiring:")[0])
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized steps")
+def _common_flags(p) -> None:
+    p.add_argument("--seed", type=int, default=None, help="seed for randomized steps")
     force_help = (
         "lift the berge size guard, the search budget of nu and alpha, the k-set "
         "enumeration guard of construct, stable-complete and absorb's family "
@@ -303,12 +308,15 @@ def build_parser() -> _Parser:
         "copies * n guard of round1, sparsify and pipeline and round1's pair and "
         "k-set count guard; closest and fdense scan every candidate set"
     )
-    common.add_argument("--force", action="store_true", help=force_help)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--force", action="store_true", help=force_help)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", parents=[common])
+def _output_flag(p) -> None:
+    p.add_argument("-o", "--output", required=True)
+
+
+def _construct_flags(p) -> None:
     p.add_argument("--family", choices=("space-barrier", "parity", "clique-minus"), required=True)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--k", type=int, required=True)
@@ -316,45 +324,30 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int)
     p.add_argument("--na", type=int)
     p.add_argument("--nb", type=int)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(handler=cmd_construct)
+    _output_flag(p)
 
-    def file_command(name, handler):
-        p = sub.add_parser(name, parents=[common])
-        p.add_argument("file")
-        p.set_defaults(handler=lambda args: handler(core.load(args.file), args))
-        return p
 
-    file_command("nu", cmd_nu)
-    file_command("alpha", cmd_alpha)
-    file_command("berge", cmd_berge)
-
-    p = file_command("degrees", cmd_degrees)
+def _degrees_flags(p) -> None:
     p.add_argument("--l", type=int)
     p.add_argument("--set")
 
-    file_command("fractional", cmd_fractional)
 
-    p = file_command("stable-complete", cmd_stable_complete)
-    p.add_argument("-o", "--output", required=True)
-
-    file_command("stable-check", cmd_stable_check)
-    file_command("shadow", cmd_shadow)
-
-    p = file_command("closeness", cmd_closeness)
+def _barrier_flags(p) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
+
+
+def _closeness_flags(p) -> None:
+    _barrier_flags(p)
     p.add_argument("--w")
     p.add_argument("--alpha", type=_fraction)
 
-    p = file_command("closest", cmd_closest)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
 
-    p = file_command("fdense", cmd_fdense)
+def _fdense_flags(p) -> None:
     p.add_argument("--eps", type=_fraction, required=True)
 
-    p = file_command("absorb", cmd_absorb)
+
+def _absorb_flags(p) -> None:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
@@ -362,32 +355,38 @@ def build_parser() -> _Parser:
     p.add_argument("--absorb-set")
     p.add_argument("--probes", type=int, default=100)
 
-    p = file_command("round1", cmd_round1)
+
+def _sample_flags(p) -> None:
     p.add_argument("--copies", type=int, required=True)
     p.add_argument("--p", type=_fraction, required=True)
+
+
+def _round1_flags(p) -> None:
+    _sample_flags(p)
     p.add_argument("--probe-set", action="append")
     p.add_argument("--xi", type=_fraction, default=Fraction(1, 10))
 
-    p = file_command("sparsify", cmd_sparsify)
-    p.add_argument("--copies", type=int, required=True)
-    p.add_argument("--p", type=_fraction, required=True)
+
+def _sparsify_flags(p) -> None:
+    _sample_flags(p)
     p.add_argument("--eps", type=_fraction, default=Fraction(1, 2))
     p.add_argument("-o", "--output")
 
-    p = file_command("pipeline", cmd_pipeline)
-    p.add_argument("--copies", type=int, required=True)
-    p.add_argument("--p", type=_fraction, required=True)
+
+def _pipeline_flags(p) -> None:
+    _sample_flags(p)
     p.add_argument("--sigma", type=_fraction)
     p.add_argument("--eps", type=_fraction, default=Fraction(1, 2))
 
-    p = sub.add_parser("verify", parents=[common])
+
+def _verify_flags(p) -> None:
     p.add_argument("--suite", choices=stability.SUITES, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--rho", type=_fraction, default=Fraction(1, 100))
-    p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("sweep", parents=[common])
+
+def _sweep_flags(p) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--n-start", type=int, required=True)
@@ -396,8 +395,54 @@ def build_parser() -> _Parser:
     p.add_argument("--m-list", type=_int_list)
     p.add_argument("--search-trials", type=int, default=0)
     p.add_argument("--search-p", type=_fraction, default=Fraction(3, 4))
-    p.set_defaults(handler=cmd_sweep)
 
+
+def _on_host(handler, args):
+    return handler(core.load(args.file), args)
+
+
+# Each subcommand, in help order: its handler, whether the handler takes the host
+# read from a `file` argument first, and what adds its own flags, if it has any.
+_SUBCOMMANDS = {
+    "construct": (cmd_construct, False, _construct_flags),
+    "nu": (cmd_nu, True, None),
+    "alpha": (cmd_alpha, True, None),
+    "berge": (cmd_berge, True, None),
+    "degrees": (cmd_degrees, True, _degrees_flags),
+    "fractional": (cmd_fractional, True, None),
+    "stable-complete": (cmd_stable_complete, True, _output_flag),
+    "stable-check": (cmd_stable_check, True, None),
+    "shadow": (cmd_shadow, True, None),
+    "closeness": (cmd_closeness, True, _closeness_flags),
+    "closest": (cmd_closest, True, _barrier_flags),
+    "fdense": (cmd_fdense, True, _fdense_flags),
+    "absorb": (cmd_absorb, True, _absorb_flags),
+    "round1": (cmd_round1, True, _round1_flags),
+    "sparsify": (cmd_sparsify, True, _sparsify_flags),
+    "pipeline": (cmd_pipeline, True, _pipeline_flags),
+    "verify": (cmd_verify, False, _verify_flags),
+    "sweep": (cmd_sweep, False, _sweep_flags),
+}
+
+
+@functools.cache
+def build_parser(command: str | None = None) -> _Parser:
+    """The argparse tree with the one subcommand `command`, or with all of them."""
+    # The help text is the docstring without its wiring note, which is for readers of this module.
+    parser = _Parser(prog="hypermatch", description=__doc__ and __doc__.partition("\n\nWiring:")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _SUBCOMMANDS if command is None else (command,):
+        handler, reads_host, add_flags = _SUBCOMMANDS[name]
+        p = sub.add_parser(name)
+        _common_flags(p)
+        if reads_host:
+            p.add_argument("file")
+            p.set_defaults(handler=functools.partial(_on_host, handler))
+        else:
+            p.set_defaults(handler=handler)
+        if add_flags:
+            add_flags(p)
+    gc.collect(0)  # argparse's garbage cycles; see the wiring note in the module docstring
     return parser
 
 
@@ -412,7 +457,8 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()  # see the wiring note in the module docstring
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser(argv[0]) if argv and argv[0] in _SUBCOMMANDS else build_parser()
+        args = parser.parse_args(argv)
         fmt = args.format
         claim, results = args.handler(args)
         report = {

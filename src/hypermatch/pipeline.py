@@ -73,12 +73,18 @@ class RoundOneSample:
         )
 
 
-def round1_sample(H: Hypergraph, copies: int, p: Fraction, seed: int, force: bool = False) -> RoundOneSample:
+def _round1_domain(copies: int, p: Fraction) -> Fraction:
+    """Round one's flag checks; returns p as a Fraction."""
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise DomainError(f"p must lie in [0, 1], got {p}")
     if copies < 1:
         raise DomainError("need at least one copy")
+    return p
+
+
+def round1_sample(H: Hypergraph, copies: int, p: Fraction, seed: int, force: bool = False) -> RoundOneSample:
+    p = _round1_domain(copies, p)
     n, k = H.n, H.k
     if not force and copies * max(n, 1) > ROUND1_MAX_DRAWS:  # a copy of an empty host still costs a step
         raise SizeLimitError(
@@ -274,6 +280,14 @@ class PipelineResult:
     diagnostics: dict
 
 
+def _gate_cut(k: int, eps: Fraction) -> Fraction:
+    """The independence gate's bound on alpha(H[R]) / |R|, 1 - 1/k - eps/5, for eps > 0."""
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise DomainError("eps must be a positive rational")
+    return 1 - Fraction(1, k) - eps / 5
+
+
 def certify_copies(H: Hypergraph, sample: RoundOneSample, eps: Fraction) -> tuple:
     """Per-copy certificates: exact independence gate, then fractional check.
 
@@ -285,10 +299,7 @@ def certify_copies(H: Hypergraph, sample: RoundOneSample, eps: Fraction) -> tupl
     its own lifted weight map and skip entry, in copy order. The gate's
     slack eps must be positive.
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise DomainError("eps must be a positive rational")
-    gate_cut = 1 - Fraction(1, H.k) - eps / 5
+    gate_cut = _gate_cut(H.k, eps)
     solved = {}  # induced graph -> (alpha, its fractional optimum or None when the gate fails)
     fracs = []
     skipped = []
@@ -343,11 +354,15 @@ def almost_perfect_pipeline(
 ) -> PipelineResult:
     """Round 1, per-copy certificates, round 2, then the greedy matcher.
 
-    An edgeless host short-circuits to the empty matching; otherwise stage
-    errors propagate with their stage label.
+    An edgeless host short-circuits to the empty matching once copies, p and
+    eps pass the checks `sparsify_stage` makes, in its order (it draws nothing,
+    so the copies guard does not apply); otherwise stage errors propagate with
+    their stage label.
     """
     n = H.n
     if H.num_edges == 0:
+        _round1_domain(copies, p)
+        _gate_cut(H.k, eps)
         diagnostics = {"short_circuit": "host has no edges"}
         return PipelineResult((), n, Fraction(1) if n else Fraction(0), diagnostics)
 

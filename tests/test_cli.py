@@ -337,6 +337,35 @@ class TestErrorSurface:
         assert code == 1
 
     @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--copies", "0", "--p", "5", "--eps", "-1"],
+            ["--copies", "0", "--p", "1/2", "--eps", "-1"],
+            ["--copies", "1", "--p=-1/2"],
+            ["--copies", "1", "--p", "1/2", "--eps", "0"],
+            ["--copies", "100000000000", "--p", "2", "--force"],
+        ],
+        ids=["p-first", "copies-before-eps", "p-negative", "eps-zero", "p-with-force"],
+    )
+    def test_edgeless_pipeline_refuses_what_a_one_edge_host_refuses(self, capsys, tmp_path, flags):
+        reports = []
+        for edges in ([], [(0, 1, 2)]):
+            path = tmp_path / "host.json"
+            save(Hypergraph(6, 3, edges), path)
+            reports.append(run(capsys, "pipeline", str(path), *flags))
+        assert reports[0] == reports[1] and reports[0][0] == 1
+        assert json.loads(reports[0][1])["error"]["type"] == "DomainError"
+
+    @pytest.mark.parametrize("copies", ["1", "100000000000"])
+    def test_edgeless_pipeline_short_circuits_on_valid_flags(self, capsys, tmp_path, copies):
+        # An edgeless host draws nothing, so the copies guard does not apply.
+        path = tmp_path / "empty.json"
+        save(Hypergraph(6, 3, []), path)
+        code, rep = run_json(capsys, "pipeline", str(path), "--copies", copies, "--p", "1/2", "--eps", "1/3")
+        assert code == 0
+        assert rep["results"]["diagnostics"] == {"short_circuit": "host has no edges"}
+
+    @pytest.mark.parametrize(
         "content, argv, message",
         [
             pytest.param(b'{"n": 4, "k": 2, "edges": null}', ["nu", "{file}"], None, id="edges-null"),

@@ -11,6 +11,7 @@ depend on where the test runs.
 """
 
 import argparse
+import functools
 import gc
 import json
 import os
@@ -23,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import hypermatch
-from hypermatch import Hypergraph, SizeLimitError, build_parity, build_space_barrier, complete_hypergraph, save
+from hypermatch import DomainError, Hypergraph, SizeLimitError, build_parity, build_space_barrier, complete_hypergraph, save
 from hypermatch import cli, stability, threshold_sweep
 from hypermatch.cli import main
 
@@ -138,10 +139,9 @@ def test_csv_fields_follow_json_key_order(capsys, host_dir, line):
 @pytest.mark.parametrize("line", [*CASES, CSV_CASE, *ERROR_CASES])
 def test_leaves_no_reference_cycle(capsys, host_dir, line):
     # main pauses the collector for the command, so a garbage cycle it left
-    # would stay in memory until the collector next ran. Building the parser
-    # leaves one (its temporary `common` parent parser), but once per process,
-    # so the parser is built and that cycle collected before measuring.
-    cli.build_parser()
+    # would stay in memory until the collector next ran. The window includes
+    # the command's first parser build.
+    cli.build_parser.cache_clear()
     gc.collect()
     gc.disable()
     try:
@@ -183,12 +183,82 @@ class TestOneParserPerProcess:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         cli.build_parser.cache_clear()
         counts = []
-        for line in (self.ROUND1, "nu fano.json", self.PROBES, "verify --suite katona --trials 3 --seed 4"):
+        lines = (self.ROUND1, "nu fano.json", self.PROBES, "verify --suite katona --trials 3 --seed 4", "nu k12.json")
+        for line in lines:
             assert run(capsys, line) == (0, golden(line))
             counts.append(len(built))
-        # The first call builds the whole tree; later calls build nothing.
-        assert counts[0] > 0 and counts == counts[:1] * 4
-        assert built[0] is cli.build_parser()
+        # A command's first run builds the top level and its own subparser, nothing
+        # else; its later runs build nothing.
+        assert counts == [2, 4, 4, 6, 6]
+        assert [parser.prog for parser in built] == [
+            "hypermatch", "hypermatch round1", "hypermatch", "hypermatch nu", "hypermatch", "hypermatch verify",
+        ]
+        assert built[0] is cli.build_parser("round1")
+        # With no command, the whole tree is built, as for a line that names none.
+        whole = cli.build_parser()
+        assert len(built) == 6 + 1 + len(cli._SUBCOMMANDS)
+        assert list(choices(whole)) == list(cli._SUBCOMMANDS)
+
+
+def choices(parser):
+    """The subparsers of a tree, by name."""
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def parse_error(parser, argv):
+    with pytest.raises(DomainError) as caught:
+        parser.parse_args(argv)
+    return str(caught.value)
+
+
+class TestOneCommandTree:
+    """A command's own tree parses, helps and refuses exactly as the whole tree does."""
+
+    @staticmethod
+    def target(handler):
+        """What a handler runs: a file command's handler is the host loader bound to it."""
+        return (handler.func, handler.args) if isinstance(handler, functools.partial) else handler
+
+    @pytest.mark.parametrize("name", cli._SUBCOMMANDS)
+    def test_one_command_tree_matches_the_whole_tree(self, name):
+        one, whole = cli.build_parser(name), cli.build_parser()
+        assert list(choices(one)) == [name]
+        sub, whole_sub = choices(one)[name], choices(whole)[name]
+        assert sub.format_help() == whole_sub.format_help()
+
+        lines = [line for line in json.loads(GOLDEN.read_text()) if line.split()[0] == name]
+        assert lines
+        for line in lines:
+            argv = shlex.split(line)
+            a, b = vars(one.parse_args(argv)), vars(whole.parse_args(argv))
+            assert self.target(a.pop("handler")) == self.target(b.pop("handler"))
+            assert a == b
+
+        # A missing required argument, an unknown flag and a bad value (not an int, a
+        # rational or an int list) for each typed flag.
+        base = shlex.split(lines[0])
+        refused = [[name], [*base, "--bogus"]]
+        refused += [[*base, action.option_strings[-1], "1/0"] for action in sub._actions if action.type]
+        for argv in refused:
+            assert parse_error(one, argv) == parse_error(whole, argv)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["bogus"], "argument command: invalid choice: 'bogus' (choose from {})"),
+            (["--seed", "3", "nu", "x"], "argument command: invalid choice: '3' (choose from {})"),
+        ],
+    )
+    def test_a_line_without_a_leading_command_gets_the_whole_tree(self, capsys, argv, message):
+        names = (
+            "construct nu alpha berge degrees fractional stable-complete stable-check shadow closeness "
+            "closest fdense absorb round1 sparsify pipeline verify sweep"
+        )
+        message = message.format(", ".join(repr(name) for name in names.split()))
+        report = json.dumps({"error": {"message": message, "type": "DomainError"}}, separators=(",", ":"))
+        assert run(capsys, shlex.join(argv)) == (1, report + "\n")
 
 
 # The library calls behind each pinned verify and sweep line, with the same parameters.
