@@ -7,9 +7,10 @@ fixed and documented:
   the memoized search whose branch order _lex_least_matching states; the
   witness is read back from the recorded picks, charged as the chain walk
   was. It masks the edges at a vertex only when the search first reaches
-  that vertex. Its recursion depth is nu + 1. It stops with SizeLimitError after
-  MATCHING_MAX_NODES evaluations unless forced, and, forced or not, once
-  nu + 1 passes Python's recursion limit. The absorber test in absorbing
+  that vertex; when it scans the edges, the vertices above every edge are
+  dead from the root. Its recursion depth is nu + 1. It stops with
+  SizeLimitError after MATCHING_MAX_NODES evaluations unless forced, and,
+  forced or not, once nu + 1 passes Python's recursion limit. The absorber test in absorbing
   runs the same search on a vertex subset of the host.
 * independence_number adds vertices in index order, include branch first,
   pruning a vertex whose inclusion completes an edge. It has the same node
@@ -117,7 +118,14 @@ def _lex_least_matching(H: Hypergraph, xs, force: bool) -> list:
     The edges at v are found on core._looks_up's route: the sets (v, *c), c
     from the live vertices above v, looked up as the search asks, or the
     lex-ordered slice of H[xs]'s edges that start at v, found by bisection and
-    masked when the search first reaches v, then kept for the call.
+    masked when the search first reaches v, then kept for the call. The scan
+    route also finds the start vertices by bisection jumps over those edges,
+    and kills every vertex above the largest one an edge reaches: such a
+    vertex is isolated, so no value, and hence no pick, changes, but the root
+    bound no longer counts it. On a stable host the vertices left are exactly
+    those in edges. The largest vertex of xs is looked for among the edges'
+    last vertices before any max is taken, so a dense host pays for a few
+    edges only.
 
     Every nu call, memo hits included, counts against the budget.
     """
@@ -137,7 +145,13 @@ def _lex_least_matching(H: Hypergraph, xs, force: bool) -> list:
                        if any(map(contains, map((v,).__add__, combinations(xs[i + 1 :], k - 1)))))
     else:
         edges = H.edges if every else tuple(filter(frozenset(xs).issuperset, H.edges))
-        starts = _mask(set(map(itemgetter(0), edges)))
+        if xs and xs[-1] not in map(itemgetter(-1), edges):
+            full &= (1 << max(map(itemgetter(-1), edges), default=-1) + 1) - 1
+        starts, i = 0, 0
+        while i < len(edges):
+            v = edges[i][0]
+            starts |= 1 << v
+            i = bisect_left(edges, (v + 1,), i)
         at_v: dict = {}
 
         def edges_at(v, dead):
@@ -156,7 +170,7 @@ def _lex_least_matching(H: Hypergraph, xs, force: bool) -> list:
         e = sum(m & full == m for m in map(_mask, H.edges))
         return SizeLimitError(
             f"the exact matching search enforces at most {limit} search "
-            f"evaluations; n={full.bit_count()}, e={e}"
+            f"evaluations; n={len(xs)}, e={e}"
         )
 
     def nu(dead: int) -> int:
@@ -192,7 +206,7 @@ def _lex_least_matching(H: Hypergraph, xs, force: bool) -> list:
     except RecursionError:
         raise SizeLimitError(
             "the exact matching search recurses once per matching edge, and this matching is "
-            f"deeper than Python's recursion limit; --force does not lift this; n={full.bit_count()}"
+            f"deeper than Python's recursion limit; --force does not lift this; n={len(xs)}"
         ) from None
     finally:
         nu = None  # breaks the cycle nu -> its closure -> nu, so the memo is freed now

@@ -9,7 +9,8 @@ covering pair.
 
 No shift operator is implemented: completions arrive already stable through
 the cover construction in the fractional module, and the fuzz generator
-below closes random seeds downward directly.
+below closes random seeds downward directly, as the union of their
+down-sets.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 from .closeness import barrier_deficit
 from .constructions import space_barrier_edge_count
-from .core import Hypergraph, check_enumeration
+from .core import Hypergraph, _check_shape, check_enumeration
 from .errors import CertificationError, DomainError
 from .exact import max_matching
 from .rng import TAG_CLOSURE, TAG_SET_SAMPLE, CounterRng, combination_unrank, random_hypergraph
@@ -121,33 +122,35 @@ def stability_closeness_check(H: Hypergraph, m: int, xi: Fraction) -> StabilityC
     return StabilityCloseness(hypotheses, conclusion, deficit)
 
 
+def _down_set(g: tuple) -> list:
+    """The sorted k-sets e <= g, for a strictly increasing g, built one
+    coordinate at a time; since g increases, every prefix extends."""
+    out = [()]
+    for top in g:
+        out = [p + (x,) for p in out for x in range(p[-1] + 1 if p else 0, top + 1)]
+    return out
+
+
 def downward_closure(n: int, k: int, generators) -> Hypergraph:
     """Smallest stable hypergraph containing the given k-sets.
 
-    Generators are checked as edges are, and decrements keep sorted tuples
-    sorted and in range, so the sorted closure goes to the trusted constructor.
+    n and k are checked first, then each generator as edges are, its vertex
+    types before it is sorted. The closure is the union of the generators'
+    down-sets, each enumerated directly (a generator already in the union adds
+    nothing), so the sorted union goes to the trusted constructor.
     """
-    seen = set()
-    stack = []
+    _check_shape(n, k)
+    seen: set = set()
     for g in generators:
-        e = tuple(sorted(g))
-        if (
-            not set(map(type, e)) <= {int}
-            or len(e) != k
-            or len(set(e)) != k
-            or e[0] < 0
-            or e[-1] >= n
-        ):
-            raise DomainError(f"generator {list(g)} is not a k-subset of 0..{n - 1}")
+        try:
+            raw = list(g)
+        except TypeError:
+            raise DomainError(f"generator {g!r} is not a k-subset of 0..{n - 1}") from None
+        e = tuple(sorted(raw)) if set(map(type, raw)) <= {int} else ()
+        if len(e) != k or len(set(e)) != k or e[0] < 0 or e[-1] >= n:
+            raise DomainError(f"generator {raw} is not a k-subset of 0..{n - 1}")
         if e not in seen:
-            seen.add(e)
-            stack.append(e)
-    while stack:
-        f = stack.pop()
-        for e in _decrements(f):
-            if e not in seen:
-                seen.add(e)
-                stack.append(e)
+            seen.update(_down_set(e))
     return Hypergraph._canonical(n, k, sorted(seen))
 
 

@@ -221,6 +221,12 @@ def test_generators_reject_a_non_integer_vertex_count():
         downward_closure(5, 2, [(0, 1.5)])
     with pytest.raises(DomainError, match="not a k-subset"):
         downward_closure(5, 2, [(True, 2)])
+    with pytest.raises(DomainError, match=re.escape("generator [0, 'a'] is not a k-subset of 0..4")):
+        downward_closure(5, 2, [[0, "a"]])
+    with pytest.raises(DomainError, match="generator 3 is not a k-subset of 0..4"):
+        downward_closure(5, 2, [3])
+    with pytest.raises(DomainError, match="uniformity must be a positive integer"):
+        downward_closure(5, 0, [()])
 
 
 # ------------------------------------------------ the k-set enumeration guard

@@ -297,7 +297,19 @@ ORACLE_HOSTS = {
     "stable": lambda: [
         random_stable_hypergraph(6 + i % 8, 2 + i % 2, i, 1 + i % 4) for i in range(300)
     ],
+    "padded": lambda: [padded_host(i) for i in range(300)],
 }
+
+
+def padded_host(i):
+    # A random host with 1 to 5 isolated vertices appended above it; every
+    # other one is relabelled at random, so some isolated vertices fall inside.
+    k = 2 + i % 3
+    n = k + i % (10 - k)
+    H = random_hypergraph(n, k, Fraction(1 + i % 9, 10), i)
+    size = n + 1 + i % 5
+    label = CounterRng(i).sample(list(range(size)), size) if i % 2 else range(size)
+    return Hypergraph(size, k, [[label[v] for v in e] for e in H.edges])
 
 
 @pytest.mark.parametrize("family", sorted(ORACLE_HOSTS))
@@ -309,13 +321,59 @@ def test_memoized_search_matches_branch_and_bound(family):
 def test_search_masks_only_the_edges_at_the_vertices_it_reaches(monkeypatch):
     # On K30^(3) the search reaches 0, 3, ..., 27 and stops at each vertex
     # after one edge, so it masks the 1,495 edges that start there, not all
-    # 4,060 (one more mask is the set of start vertices).
+    # 4,060; the start vertices are found by bisection, with no mask.
     H = complete_hypergraph(30, 3)
     expected = bnb_max_matching(H)
     real, calls = exact._mask, []
     monkeypatch.setattr(exact, "_mask", lambda vs: calls.append(1) or real(vs))
     assert max_matching(H) == expected
-    assert len(calls) == 1 + sum(comb(29 - v, 2) for v in range(0, 30, 3)) == 1496
+    assert len(calls) == sum(comb(29 - v, 2) for v in range(0, 30, 3)) == 1495
+
+
+def least_budget(H, monkeypatch):
+    # The fewest MATCHING_MAX_NODES at which max_matching succeeds: the
+    # search's evaluation count, read-back charges included.
+    def solves(budget):
+        monkeypatch.setattr(exact, "MATCHING_MAX_NODES", budget)
+        try:
+            max_matching(H)
+        except SizeLimitError:
+            return False
+        return True
+
+    hi = 1
+    while not solves(hi):
+        hi *= 2
+    lo = hi // 2 + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if solves(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def test_isolated_top_vertices_cost_no_evaluations(monkeypatch):
+    # The scan route kills the vertices above every edge at the root, so a
+    # host padded with isolated top vertices is searched as the host itself.
+    hosts = [complete_hypergraph(7, 2)]
+    for i in range(60):
+        k = 2 + i % 3
+        hosts.append(random_hypergraph(k + 1 + i % (10 - k), k, Fraction(1 + i % 9, 10), i))
+    for i, H in enumerate(hosts):
+        padded = Hypergraph(H.n + 5 - i % 5, H.k, H.edges)  # K7 gets 5 more vertices
+        assert least_budget(padded, monkeypatch) == least_budget(H, monkeypatch), H
+
+
+def test_budget_message_counts_every_vertex_of_the_search(monkeypatch):
+    # K7 plus five isolated vertices: the search ignores vertices 7..11, but
+    # the message names all 12 vertices the search was given.
+    H = Hypergraph(12, 2, complete_hypergraph(7, 2).edges)
+    monkeypatch.setattr(exact, "MATCHING_MAX_NODES", 2)
+    with pytest.raises(SizeLimitError) as info:
+        max_matching(H)
+    assert str(info.value).endswith("n=12, e=21")
 
 
 def test_scan_route_on_a_vertex_subset_of_a_dense_host(monkeypatch):

@@ -20,7 +20,7 @@ from hypermatch import (
     shadow,
     stability_closeness_check,
 )
-from hypermatch.rng import random_hypergraph
+from hypermatch.rng import CounterRng, random_hypergraph
 
 seeds = st.integers(0, 10**9)
 
@@ -148,6 +148,33 @@ class TestClosureGenerator:
     def test_generator_validation(self):
         with pytest.raises(DomainError):
             downward_closure(4, 2, [(0, 5)])
+
+    def test_closure_matches_the_decrement_search(self):
+        # 2,000 seeded cases, n <= 14, 1 <= k <= 5, 0 to 5 generators, each
+        # in sample (unsorted) order, with a repeated generator every third case.
+        for i in range(2000):
+            rng = CounterRng(i)
+            n = 1 + rng.below(14, 0)
+            k = 1 + rng.below(min(5, n), 1)
+            gens = [rng.sample(list(range(n)), k, 2, j) for j in range(rng.below(6, 3))]
+            if gens and i % 3 == 0:
+                gens.append(list(reversed(gens[0])))
+            assert downward_closure(n, k, gens).edges == decrement_closure(k, gens), (n, k, gens)
+
+
+def decrement_closure(k, generators):
+    # The search downward_closure replaced, kept as an oracle: from the sorted
+    # generators, every single-step decrement until nothing new appears.
+    seen = set(tuple(sorted(g)) for g in generators)
+    stack = list(seen)
+    while stack:
+        f = stack.pop()
+        for i in range(k):
+            e = f[:i] + (f[i] - 1,) + f[i + 1 :]
+            if e[i] >= 0 and (i == 0 or e[i] > e[i - 1]) and e not in seen:
+                seen.add(e)
+                stack.append(e)
+    return tuple(sorted(seen))
 
 
 @pytest.mark.parametrize("n, k", [(5, -1), (5, 0), (3, 4)])
