@@ -19,6 +19,7 @@ from .core import (
     to_json,
 )
 from .constructions import (
+    build_clique_minus,
     build_parity,
     build_space_barrier,
     build_space_barrier_at,

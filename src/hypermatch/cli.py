@@ -143,14 +143,7 @@ def cmd_construct(args):
             raise DomainError("parity needs --na and --nb")
         H = constructions.build_parity(args.na, args.nb, args.k, args.force)
     else:
-        # Clique-minus is the full barrier whose cover side is the top n/k - 1 vertices.
-        n, k = args.n, args.k
-        if not 1 <= k <= n:
-            raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
-        if n % k:
-            raise DomainError(f"clique-minus needs k | n, got n={n}, k={k}")
-        barrier = constructions.build_space_barrier_at(n, k, k, range(n - n // k + 1, n), args.force)
-        H = core.Hypergraph._canonical(n, k, barrier.edges, name=f"clique-minus(n={n},k={k})")
+        H = constructions.build_clique_minus(args.n, args.k, args.force)
     core.save(H, args.output)
     return "extremal-construction", {"n": H.n, "k": H.k, "edge_count": H.num_edges, "output": args.output}
 
@@ -169,6 +162,8 @@ def cmd_berge(H, args):
 
 def cmd_degrees(H, args):
     if args.set is not None:
+        if args.l is not None:
+            raise DomainError("degrees takes --l or --set, not both")
         t = _vertices(args.set)
         return "set-degree", {"set": t, "degree": core.degree(H, t)}
     if args.l is None:

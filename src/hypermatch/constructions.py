@@ -140,3 +140,15 @@ def build_parity(na: int, nb: int, k: int, force: bool = False) -> Hypergraph:
         if in_a % 2 != na % 2:
             edges.append(e)
     return Hypergraph._canonical(n, k, edges, name=f"parity(|A|={na},|B|={nb},k={k})")
+
+
+def build_clique_minus(n: int, k: int, force: bool = False) -> Hypergraph:
+    """The full barrier H^k_k whose cover side is the top n/k - 1 vertices: the
+    complete k-graph minus every k-set inside the first n - n/k + 1 vertices."""
+    if not 1 <= k <= n:
+        raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
+    if n % k:
+        raise DomainError(f"clique-minus needs k | n, got n={n}, k={k}")
+    check_enumeration(n, k, force)
+    edges = barrier_edges(n, k, k, range(n - n // k + 1, n))
+    return Hypergraph._canonical(n, k, edges, name=f"clique-minus(n={n},k={k})")

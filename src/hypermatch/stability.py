@@ -162,6 +162,11 @@ def random_stable_hypergraph(n: int, k: int, seed: int, generator_count: int = 3
     """
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
+    # type() rather than isinstance(), as in core: a bool is neither a count nor a seed.
+    if type(generator_count) is not int or generator_count < 0:
+        raise DomainError(f"generator count must be a nonnegative integer, got {generator_count!r}")
+    if type(seed) is not int:
+        raise DomainError(f"seed must be an integer, got {seed!r}")
     check_enumeration(n, k)  # before the draws, whose unranking walks up to n
     rng = CounterRng(seed)
     total = comb(n, k)

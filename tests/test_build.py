@@ -18,6 +18,7 @@ from hypermatch import (
     DomainError,
     Hypergraph,
     SizeLimitError,
+    build_clique_minus,
     build_parity,
     build_space_barrier,
     build_space_barrier_at,
@@ -78,7 +79,7 @@ def test_extremal_generators_match_the_validating_constructor():
                     assert_as_validated(build_space_barrier(n, k, s, m))
                 assert_as_validated(build_space_barrier_at(n, k, s, {n - 1, 0}))
             if n % k == 0:  # the clique-minus family
-                assert_as_validated(build_space_barrier_at(n, k, k, range(n - n // k + 1, n)))
+                assert_as_validated(build_clique_minus(n, k))
         for na in range(6):
             for nb in range(6):
                 if na + nb >= k:
@@ -279,22 +280,19 @@ def test_guard_compares_without_forming_a_huge_binomial():
     assert str(info.value).endswith(f"got C(20000, 10000) > {core.ENUMERATE_MAX_KSETS}")
 
 
-def test_every_enumerating_generator_is_guarded_and_force_lifts_it(monkeypatch, tmp_path):
+def test_every_enumerating_generator_is_guarded_and_force_lifts_it(monkeypatch):
     monkeypatch.setattr(core, "ENUMERATE_MAX_KSETS", comb(6, 3) - 1)
     builds = [
         lambda force: build_space_barrier(6, 3, 3, 2, force),
         lambda force: build_space_barrier_at(6, 3, 3, (1, 4), force),
         lambda force: build_parity(3, 3, 3, force),
+        lambda force: build_clique_minus(6, 3, force),
         lambda force: stable_completion(Hypergraph(6, 3, [(0, 1, 2)]), force).graph,
     ]
     for build in builds:
         with pytest.raises(SizeLimitError):
             build(False)
         assert_as_validated(build(True))
-    clique_minus = ["construct", "--family", "clique-minus", "--n", "6", "--k", "3", "-o", str(tmp_path / "c.json")]
-    assert main(clique_minus) == 2 and not (tmp_path / "c.json").exists()
-    assert main([*clique_minus, "--force"]) == 0
-    assert core.load(tmp_path / "c.json").num_edges == 10
     # The library generators no CLI flag sizes stay unguarded.
     assert_as_validated(complete_hypergraph(6, 3))
     assert_as_validated(random_hypergraph(6, 3, Fraction(1, 2), 0))

@@ -98,6 +98,12 @@ class TestBasicCommands:
         code, rep = run_json(capsys, "degrees", barrier_file, "--set", "5")
         assert rep["results"]["degree"] == 13
 
+    def test_degrees_refuses_l_with_set(self, capsys, barrier_file):
+        # --l has no effect on a set degree, so a report must not echo it.
+        code, rep = run_json(capsys, "degrees", barrier_file, "--l", "2", "--set", "0,1")
+        assert code == 1
+        assert rep == {"error": {"type": "DomainError", "message": "degrees takes --l or --set, not both"}}
+
     def test_fractional(self, capsys, fano_file):
         code, rep = run_json(capsys, "fractional", fano_file)
         assert rep["results"]["nu_star"] == "7/3"

@@ -8,6 +8,7 @@ import pytest
 from hypermatch import (
     DomainError,
     Hypergraph,
+    build_clique_minus,
     build_parity,
     build_space_barrier,
     build_space_barrier_at,
@@ -202,4 +203,5 @@ class TestCliqueMinus:
             edges = [e for e in combinations(range(n), k) if e[-1] >= hole]
             expected = to_json(Hypergraph(n, k, edges, name=f"clique-minus(n={n},k={k})"))
             assert construct_clique_minus(capsys, tmp_path, n, k)[2] == expected, (n, k)
+            assert to_json(build_clique_minus(n, k)) == expected, (n, k)
             assert build_space_barrier_at(n, k, k, range(hole, n)).edges == tuple(edges)

@@ -183,6 +183,19 @@ def test_random_stable_hypergraph_rejects_bad_uniformity(n, k):
         random_stable_hypergraph(n, k, 3)
 
 
+def test_random_stable_hypergraph_refuses_bad_counts_and_seeds():
+    for seed, count, message in [
+        (3, 2.5, "generator count must be a nonnegative integer, got 2.5"),
+        (3, -4, "generator count must be a nonnegative integer, got -4"),
+        ("x", 3, "seed must be an integer, got 'x'"),
+    ]:
+        with pytest.raises(DomainError) as info:
+            random_stable_hypergraph(12, 2, seed, count)
+        assert str(info.value) == message
+    assert random_stable_hypergraph(12, 2, 3, 0).num_edges == 0
+    assert random_stable_hypergraph(12, 2, -5, 2) == random_stable_hypergraph(12, 2, -5 & (2**64 - 1), 2)
+
+
 @given(seed=seeds, n=st.integers(4, 9), k=st.integers(2, 3))
 def test_random_stable_instances_pass_the_battery(seed, n, k):
     if k > n:
