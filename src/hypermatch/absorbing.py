@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .core import Hypergraph, _mask, check_enumeration, vertex_subset
+from .core import Hypergraph, _mask, check_counts, check_enumeration, vertex_subset
 from .errors import AbsorptionStuckError, CertificationError, DomainError
 from .exact import _lex_least_matching, validate_matching
 from .rng import TAG_FAMILY, TAG_PROBE, CounterRng, bernoulli_subsets
@@ -42,6 +42,7 @@ class AbsorbingParameters:
 
     def __post_init__(self):
         k, l, a, h = self.k, self.l, self.a, self.h
+        check_counts(k=k, l=l, a=a, h=h)
         if not 1 <= l < k:
             raise DomainError(f"need 1 <= l < k, got k={k}, l={l}")
         if a < 1 or h < 1:

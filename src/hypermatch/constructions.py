@@ -14,7 +14,7 @@ from itertools import combinations
 from math import ceil, comb, floor
 
 from .absorbing import default_parameters
-from .core import Hypergraph, check_enumeration, min_l_degree, vertex_subset
+from .core import Hypergraph, check_counts, check_enumeration, min_l_degree, vertex_subset
 from .errors import DomainError
 from .exact import max_matching
 from .rng import TAG_SET_SAMPLE, CounterRng, random_hypergraph
@@ -40,6 +40,7 @@ def barrier_edges(n: int, k: int, s: int, W) -> list:
 
 def build_space_barrier(n: int, k: int, s: int, m: int, force: bool = False) -> Hypergraph:
     """The partition family with W = {0, .., m-1} and edges meeting W in [1, s]."""
+    check_counts(m=m)  # the other counts are checked by build_space_barrier_at
     if not 0 <= m <= n:
         raise DomainError(f"need 0 <= m <= n, got m={m}, n={n}")
     return build_space_barrier_at(n, k, s, range(m), force)
@@ -51,6 +52,7 @@ def build_space_barrier_at(n: int, k: int, s: int, W, force: bool = False) -> Hy
     Like every generator here, it enumerates the k-subsets of range(n) in lex
     order, so its edges are canonical and it uses the trusted constructor.
     """
+    check_counts(s=s)  # n and k are checked by check_enumeration
     if not 1 <= s <= k:
         raise DomainError(f"need 1 <= s <= k, got s={s}, k={k}")
     if k > n:
@@ -68,6 +70,7 @@ def space_barrier_edge_count(n: int, k: int, s: int, m: int) -> int:
 
 def threshold_formula(n: int, k: int, l: int, m: int) -> int:
     """C(n-l, k-l) - C(n-l-m, k-l): the degree bound that forces nu >= m+1."""
+    check_counts(n=n, k=k, l=l, m=m)
     if not 0 <= l < k or k > n:
         raise DomainError(f"need 0 <= l < k <= n, got n={n}, k={k}, l={l}")
     if not 0 <= m <= n - l:
@@ -130,6 +133,7 @@ def threshold_sweep(k: int, l: int, n_start: int, n_end: int, mu=Fraction(1, 4),
 
 def build_parity(na: int, nb: int, k: int, force: bool = False) -> Hypergraph:
     """k-sets f of A u B whose |f n A| differs in parity from |A|; A is first."""
+    check_counts(na=na, nb=nb)  # k is checked with n = na + nb by check_enumeration
     if k < 1 or na < 0 or nb < 0 or na + nb < k:
         raise DomainError(f"need na+nb >= k >= 1, got na={na}, nb={nb}, k={k}")
     n = na + nb

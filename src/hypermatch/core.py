@@ -67,6 +67,13 @@ def _check_shape(n: int, k: int) -> None:
         raise SizeLimitError(f"hypergraphs enforce n <= {_MAX_VERTICES}, got n={n}")
 
 
+def check_counts(**counts) -> None:
+    """DomainError for the first value that is not an int, by _check_shape's test."""
+    for name, value in counts.items():
+        if type(value) is not int:
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_mask_bits(last_vertices: Iterable[int]) -> None:
     if sum(last_vertices) > _MAX_MASK_BITS:
         raise SizeLimitError(f"hypergraph input enforces at most {_MAX_MASK_BITS} edge-mask bits, "

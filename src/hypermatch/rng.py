@@ -175,6 +175,7 @@ def random_hypergraph(n: int, k: int, p: Fraction, seed: int) -> Hypergraph:
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got k={k}")
+    p = Fraction(p)  # read as pipeline._round1_domain reads it: a float is its exact binary value
     if not 0 <= p <= 1:
         raise DomainError(f"p must lie in [0, 1], got {p}")
     rng = CounterRng(seed)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .closeness import barrier_deficit
 from .constructions import space_barrier_edge_count
-from .core import Hypergraph, _check_shape, check_enumeration
+from .core import Hypergraph, _check_shape, check_counts, check_enumeration
 from .errors import CertificationError, DomainError
 from .exact import max_matching
 from .rng import TAG_CLOSURE, TAG_SET_SAMPLE, CounterRng, combination_unrank, random_hypergraph
@@ -162,11 +162,10 @@ def random_stable_hypergraph(n: int, k: int, seed: int, generator_count: int = 3
     """
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
-    # type() rather than isinstance(), as in core: a bool is neither a count nor a seed.
+    # type() rather than isinstance(), as in core: a bool is not a count.
     if type(generator_count) is not int or generator_count < 0:
         raise DomainError(f"generator count must be a nonnegative integer, got {generator_count!r}")
-    if type(seed) is not int:
-        raise DomainError(f"seed must be an integer, got {seed!r}")
+    check_counts(seed=seed)
     check_enumeration(n, k)  # before the draws, whose unranking walks up to n
     rng = CounterRng(seed)
     total = comb(n, k)

@@ -155,6 +155,23 @@ class TestParameters:
         with pytest.raises(DomainError):
             default_parameters(4, 2)  # needs l > k/2
 
+    @pytest.mark.parametrize(
+        "make, name, value",
+        [
+            (lambda: AbsorbingParameters(3, 2, 1.0, 2), "a", 1.0),
+            (lambda: AbsorbingParameters(3, 2, True, 2), "a", True),
+            (lambda: AbsorbingParameters(3, 2, 1, 2.0), "h", 2.0),
+            (lambda: AbsorbingParameters(3.0, 2, 1, 2), "k", 3.0),
+            (lambda: default_parameters(3.0, 2), "k", 3.0),
+        ],
+        ids=["a-float", "a-bool", "h-float", "k-float", "default-k-float"],
+    )
+    def test_rejects_a_field_that_is_not_an_int(self, make, name, value):
+        # default_parameters(3.0, 2) once returned k=3.0, a=1.0, h=2.0.
+        with pytest.raises(DomainError) as caught:
+            make()
+        assert str(caught.value) == f"{name} must be an integer, got {value!r}"
+
 
 class TestIsAbsorbing:
     # Whether Q = (4, 5, 6) absorbs R = (0, 1, 2, 3), asked through absorb

@@ -171,6 +171,29 @@ class TestParity:
                 build_parity(4, 3, k)
 
 
+@pytest.mark.parametrize(
+    "build, name, value",
+    [
+        (lambda: build_space_barrier(6, 3, 3, 2.0), "m", 2.0),
+        (lambda: build_space_barrier(6, 3, 2.0, 2), "s", 2.0),
+        (lambda: build_space_barrier(6, 3, True, 2), "s", True),
+        (lambda: build_space_barrier_at(6, 3, 2.0, (0,)), "s", 2.0),
+        (lambda: build_parity(True, 3, 3), "na", True),
+        (lambda: build_parity(3, 3.0, 3), "nb", 3.0),
+        (lambda: threshold_formula(9, 3, 2, 2.0), "m", 2.0),
+        (lambda: threshold_formula(9, 3, True, 2), "l", True),
+    ],
+    ids=["barrier-m-float", "barrier-s-float", "barrier-s-bool", "barrier-at-s-float", "parity-na-bool",
+         "parity-nb-float", "threshold-m-float", "threshold-l-bool"],
+)
+def test_a_count_that_is_not_an_int_is_refused(build, name, value):
+    # core._check_shape's rule: a float or a bool is never a count. Each of these
+    # once raised TypeError or returned a graph named after the float or bool.
+    with pytest.raises(DomainError) as caught:
+        build()
+    assert str(caught.value) == f"{name} must be an integer, got {value!r}"
+
+
 def construct_clique_minus(capsys, tmp_path, n, k, *flags):
     """Run `construct --family clique-minus`; (exit code, report, file text or None)."""
     path = tmp_path / f"clique-minus-{n}-{k}.json"

@@ -260,6 +260,20 @@ class TestOneCommandTree:
         report = json.dumps({"error": {"message": message, "type": "DomainError"}}, separators=(",", ":"))
         assert run(capsys, shlex.join(argv)) == (1, report + "\n")
 
+    @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("argv", [["-h"], ["pipeline", "-h"]], ids=["whole", "pipeline"])
+    def test_help_exits_zero_and_restores_the_collector(self, capsys, argv, collecting):
+        (gc.enable if collecting else gc.disable)()
+        try:
+            with pytest.raises(SystemExit) as caught:
+                main(argv)
+            restored = gc.isenabled()
+        finally:
+            gc.enable()
+        assert (caught.value.code, restored) == (0, collecting)
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith(" ".join(["usage: hypermatch", *argv[:-1]]) + " ")
+
 
 # The library calls behind each pinned verify and sweep line, with the same parameters.
 LIBRARY_CALLS = {

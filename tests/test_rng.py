@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypermatch import DomainError, Hypergraph
+from hypermatch import DomainError, Hypergraph, complete_hypergraph
 from hypermatch.pipeline import round1_sample
 from hypermatch.rng import (
     _BLOCK,
@@ -143,10 +143,21 @@ def test_bernoulli_subsets_is_one_bernoulli_per_candidate(p, seed):
             assert list(bernoulli_subsets(n, k, p, rng, tag)) == expected
 
 
-@pytest.mark.parametrize("p", [Fraction(-1), Fraction(-1, 10**9), Fraction(5, 2), Fraction(10**9 + 1, 10**9)])
+@pytest.mark.parametrize(
+    "p", [Fraction(-1), Fraction(-1, 10**9), Fraction(5, 2), Fraction(10**9 + 1, 10**9), 1.5, -0.25]
+)
 def test_random_hypergraph_rejects_p_outside_the_unit_interval(p):
     with pytest.raises(DomainError, match="p must lie in"):
         random_hypergraph(5, 2, p, 3)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.1, 1.0, 0, 1, "1/3"])
+def test_random_hypergraph_reads_p_as_round_one_does(p):
+    # A float once passed the range check and then died with AttributeError
+    # on p.numerator; both generators now read p as Fraction(p).
+    assert random_hypergraph(9, 3, p, 1) == random_hypergraph(9, 3, Fraction(p), 1)
+    K9 = complete_hypergraph(9, 3)
+    assert round1_sample(K9, 2, p, 1) == round1_sample(K9, 2, Fraction(p), 1)
 
 
 def test_random_hypergraph_is_reproducible():
