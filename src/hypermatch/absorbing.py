@@ -13,18 +13,26 @@ with probability rho * n / C(n, a*k) (clamped to one), then prunes in one
 lexicographic scan: it skips each drawn set that meets an earlier disjoint
 one, and drops a disjoint set that does not span a matching (its vertices
 stay blocked). All randomness is counter-based, so a family is a pure
-function of (seed, n, k, a, rho). Admission certifies each member's
-a-matching, so the probe count tests only nu(H[R u Q]) >= a + 1 per probe R
-and member Q.
+function of (seed, n, k, a, rho).
+
+The probe count needs no search for a probe R that spans an edge e: R is
+drawn from the free vertices, so it misses every member Q, and the a edges
+admission certified inside Q plus e are a + 1 disjoint edges of H[R u Q]
+(|R| = a*l + h >= a*(k-l) + k >= k). So every member absorbs such an R.
+Whether R spans an edge is decided on core._looks_up's route and stops at
+the first edge found; only a probe that spans none runs the search
+nu(H[R u Q]) >= a + 1 per member Q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
+from . import core
 from .core import Hypergraph, _mask, check_counts, check_enumeration, vertex_subset
 from .errors import AbsorptionStuckError, CertificationError, DomainError
 from .exact import _lex_least_matching, validate_matching
@@ -84,6 +92,13 @@ def _matching_in(H: Hypergraph, X, t: int) -> tuple:
     return tuple(witness[:t]) if len(witness) >= t else ()
 
 
+def _spans_edge(H: Hypergraph, X) -> bool:
+    """Whether X contains an edge of H, on core._looks_up's route; stops at the first one."""
+    if core._looks_up(H, len(X)):
+        return any(map(H.edge_set.__contains__, combinations(sorted(X), H.k)))
+    return any(map(frozenset(X).issuperset, H.edges))
+
+
 @dataclass(frozen=True)
 class AbsorbingFamily:
     """Pruned pairwise-disjoint matchable members plus their matchings."""
@@ -119,8 +134,11 @@ def sample_absorbing_family(
     Diagnostics record the raw draw count, how many drawn sets pruning removed
     for meeting an earlier one and for spanning no a-matching, and, over
     seeded probe sets R drawn from the uncovered vertices, the smallest number
-    of members Q with nu(H[R u Q]) >= a + 1 (admission already certified each
-    member's a-matching).
+    of members Q with nu(H[R u Q]) >= a + 1. A probe that spans an edge counts
+    every member without a search (see the module docstring). The probes stop
+    once the minimum reaches 0, since no later probe can lower it, so the
+    reported minimum is exact over all `probes` probes; `probe_count` echoes
+    `probes`.
 
     The sampler enumerates all C(n, a*k) candidates, so it stops with
     SizeLimitError past core.ENUMERATE_MAX_KSETS of them unless force.
@@ -176,11 +194,14 @@ def sample_absorbing_family(
     covered = set(family.covered)
     free = [v for v in range(n) if v not in covered]
     if probes > 0 and len(free) >= params.r_size:
-        worst = None
+        worst = len(members)
         for j in range(probes):
-            probe = set(rng.sample(free, params.r_size, TAG_PROBE, j))
-            hits = sum(1 for q in members if _matching_in(H, probe | set(q), params.a + 1))
-            worst = hits if worst is None else min(worst, hits)
+            probe = rng.sample(free, params.r_size, TAG_PROBE, j)
+            if not _spans_edge(H, probe):
+                hits = sum(1 for q in members if _matching_in(H, {*probe, *q}, params.a + 1))
+                worst = min(worst, hits)
+            if worst == 0:
+                break
         diagnostics["probe_count"] = probes
         diagnostics["min_absorbers_over_probes"] = worst
     return family

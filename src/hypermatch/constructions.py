@@ -65,6 +65,7 @@ def build_space_barrier_at(n: int, k: int, s: int, W, force: bool = False) -> Hy
 
 def space_barrier_edge_count(n: int, k: int, s: int, m: int) -> int:
     """Closed form: sum over i in [1, s] of C(m, i) * C(n-m, k-i)."""
+    check_counts(n=n, k=k, s=s, m=m)
     return sum(comb0(m, i) * comb0(n - m, k - i) for i in range(1, s + 1))
 
 
@@ -80,6 +81,7 @@ def threshold_formula(n: int, k: int, l: int, m: int) -> int:
 
 def theorem_m_range(n: int, k: int, l: int, mu) -> range:
     """The theorem's m: n/k - mu*n <= m <= n/k - 1 - (1 - l/k)*a, for mu > 0; empty unless k/2 < l < k."""
+    check_counts(n=n, k=k, l=l)
     if mu <= 0:
         raise DomainError(f"mu must be a positive rational, got {mu}")
     if not k < 2 * l < 2 * k:
@@ -92,6 +94,9 @@ def threshold_sweep(k: int, l: int, n_start: int, n_end: int, mu=Fraction(1, 4),
                     search_trials: int = 0, search_p=Fraction(3, 4), seed: int = 0) -> dict:
     """A row per n in [n_start, n_end] and m <= n - l in theorem_m_range or m_list: the barrier
     H^k_k(n, |W| = m) against the threshold, and a seeded search above it if search_trials."""
+    check_counts(k=k, l=l, n_start=n_start, n_end=n_end, search_trials=search_trials)
+    for m in m_list or ():
+        check_counts(m=m)
     if not 0 < l < k:
         raise DomainError(f"need 0 < l < k, got k={k}, l={l}")
     if search_trials < 0:

@@ -2,7 +2,9 @@ import gc
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -17,6 +19,7 @@ from hypermatch import (
     Hypergraph,
     SizeLimitError,
     absorb,
+    build_parity,
     build_space_barrier,
     complete_hypergraph,
     default_parameters,
@@ -106,6 +109,22 @@ class TestMatchingIn:
             gc.enable()
         assert verdicts == [ROUTES[route]] * 2
 
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_spans_edge_agrees_with_the_induced_subgraph(self, monkeypatch, route):
+        cases = []
+        for seed, k in product(range(4), (2, 3, 4)):
+            rng = CounterRng(seed)
+            for p in (Fraction(1, 20), Fraction(1, 4), Fraction(1)):
+                H = random_hypergraph(10, k, p, 10 * seed + k)
+                for size in range(11):
+                    X = rng.sample(list(range(10)), size, k, size, p.denominator)
+                    cases.append((H, X, induced(H, X).graph.num_edges > 0))
+        verdicts = route_verdicts(monkeypatch, ROUTES[route])
+        for H, X, expected in cases:
+            assert absorbing._spans_edge(H, X) is expected, (H.edges, X)
+        assert verdicts == [ROUTES[route]] * len(cases)
+        assert {expected for _, _, expected in cases} == {True, False}
+
     def test_both_routes_are_taken_unpatched(self, monkeypatch):
         # Dense and sparse hosts, as the absorbing family meets them.
         dense, sparse = complete_hypergraph(10, 3), random_hypergraph(10, 3, Fraction(1, 20), 3)
@@ -115,6 +134,19 @@ class TestMatchingIn:
         for (H, X), witness in expected.items():
             assert absorbing._matching_in(H, X, 2) == witness
         assert verdicts == [True, True, False, False]
+
+
+def probe_corpus():
+    """(params, host) pairs: complete, barrier, random and parity hosts for
+    three legal sessions, so probes both span edges and span none."""
+    for params in (PARAMS32, AbsorbingParameters(4, 3, 1, 2), AbsorbingParameters(4, 3, 1, 3)):
+        k = params.k
+        n = 15 if k == 3 else 16
+        yield params, complete_hypergraph(n, k)
+        yield params, build_space_barrier(n, k, k, n // k - 1)
+        for p in (Fraction(1, 10), Fraction(1, 3), Fraction(2, 3)):
+            yield params, random_hypergraph(n, k, p, 10 * n + p.denominator)
+        yield params, build_parity(n // 2, n - n // 2, k)
 
 
 def legal_pairs(k, l):
@@ -241,21 +273,46 @@ class TestSampling:
 
     @pytest.mark.parametrize("seed", [1, 3, 4])
     def test_probe_count_matches_is_absorbing_recount(self, seed):
-        # On a barrier host some members miss some probes, so the minimum
-        # falls below the family size; recount nu(H[R u Q]) >= a + 1 directly.
-        H = build_space_barrier(15, 3, 3, 4)
-        fam = sample_absorbing_family(H, PARAMS32, Fraction(1, 3), seed, probes=30)
-        free = [v for v in range(H.n) if v not in fam.covered]
-        rng = CounterRng(seed)
-        counts = [
-            sum(
-                max_matching(induced(H, set(probe) | set(q)).graph).size >= PARAMS32.a + 1
-                for q in fam.members
-            )
-            for probe in (rng.sample(free, PARAMS32.r_size, TAG_PROBE, j) for j in range(30))
-        ]
-        assert fam.diagnostics["probe_count"] == 30
-        assert fam.diagnostics["min_absorbers_over_probes"] == min(counts) < len(fam.members)
+        # Recount nu(H[R u Q]) >= a + 1 for every probe R and member Q, with no
+        # shortcut, over complete, barrier, random and parity hosts.
+        spans, minima = Counter(), Counter()
+        for (params, H), rho in product(probe_corpus(), (Fraction(1, 3), Fraction(1, 5))):
+            fam = sample_absorbing_family(H, params, rho, seed, probes=30)
+            free = [v for v in range(H.n) if v not in fam.covered]
+            rng = CounterRng(seed)
+            counts = []
+            for probe in (rng.sample(free, params.r_size, TAG_PROBE, j) for j in range(30)):
+                spans[induced(H, probe).graph.num_edges > 0] += 1
+                counts.append(sum(
+                    max_matching(induced(H, set(probe) | set(q)).graph).size >= params.a + 1
+                    for q in fam.members
+                ))
+            assert fam.diagnostics["probe_count"] == 30
+            assert fam.diagnostics["min_absorbers_over_probes"] == min(counts), (H.name, params)
+            minima[min(counts) < len(fam.members)] += 1
+        # Both sides of the spanning shortcut ran, and on some families a
+        # member misses a probe, so counting every member would be caught.
+        assert spans[True] and spans[False], spans
+        assert minima[True] and minima[False], minima
+
+    def test_probe_searches_only_where_no_edge_is_spanned(self, monkeypatch):
+        calls = []
+        real = absorbing._matching_in
+        monkeypatch.setattr(absorbing, "_matching_in", lambda H, X, t: calls.append(t) or real(H, X, t))
+        # Complete host: every probe spans an edge, so only admission searches.
+        fam = sample_absorbing_family(complete_hypergraph(30, 3), PARAMS32, Fraction(1, 5), 2, probes=100)
+        d = fam.diagnostics
+        assert len(fam.members) == 4 and d["min_absorbers_over_probes"] == 4
+        assert calls == [PARAMS32.a] * (d["raw_count"] - d["intersecting_removed"])
+
+    def test_memberless_family_draws_one_probe(self, monkeypatch):
+        draws = []
+        real = CounterRng.sample
+        monkeypatch.setattr(CounterRng, "sample", lambda self, *args: draws.append(args[2:]) or real(self, *args))
+        fam = sample_absorbing_family(Hypergraph(9, 3, []), PARAMS32, Fraction(1, 3), 1, probes=100)
+        assert fam.members == () and fam.diagnostics["raw_count"] > 0
+        assert fam.diagnostics["probe_count"] == 100 and fam.diagnostics["min_absorbers_over_probes"] == 0
+        assert draws == [(TAG_PROBE, 0)]
 
 
 class TestAbsorb:

@@ -18,6 +18,7 @@ from hypermatch import (
     space_barrier_edge_count,
     theorem_m_range,
     threshold_formula,
+    threshold_sweep,
     to_json,
 )
 from hypermatch.cli import main
@@ -182,13 +183,23 @@ class TestParity:
         (lambda: build_parity(3, 3.0, 3), "nb", 3.0),
         (lambda: threshold_formula(9, 3, 2, 2.0), "m", 2.0),
         (lambda: threshold_formula(9, 3, True, 2), "l", True),
+        (lambda: space_barrier_edge_count(9, 3, 3, 2.0), "m", 2.0),
+        (lambda: theorem_m_range(9, 3, 2.0, Fraction(1, 4)), "l", 2.0),
+        (lambda: threshold_sweep(3, 2, 9.0, 10), "n_start", 9.0),
+        (lambda: threshold_sweep(3.0, 2, 9, 10), "k", 3.0),
+        (lambda: threshold_sweep(3, 2, 9, 10, search_trials=True), "search_trials", True),
+        (lambda: threshold_sweep(3, 2, 9, 10, m_list=[1, 99.5]), "m", 99.5),
     ],
     ids=["barrier-m-float", "barrier-s-float", "barrier-s-bool", "barrier-at-s-float", "parity-na-bool",
-         "parity-nb-float", "threshold-m-float", "threshold-l-bool"],
+         "parity-nb-float", "threshold-m-float", "threshold-l-bool", "edge-count-m-float",
+         "m-range-l-float", "sweep-n-start-float", "sweep-k-float", "sweep-trials-bool",
+         "sweep-m-list-float"],
 )
 def test_a_count_that_is_not_an_int_is_refused(build, name, value):
     # core._check_shape's rule: a float or a bool is never a count. Each of these
-    # once raised TypeError or returned a graph named after the float or bool.
+    # once raised TypeError, returned a graph named after the float or bool, ran
+    # one search and echoed True (search_trials), or skipped a float m too large
+    # for any row (m_list).
     with pytest.raises(DomainError) as caught:
         build()
     assert str(caught.value) == f"{name} must be an integer, got {value!r}"
