@@ -4,9 +4,9 @@ A session fixes (k, l) and legal integers (a, h) with h <= l, a <= k - l and
 a*l >= a*(k-l) + (k-h). An absorber for an (a*l+h)-set R is an a*k-set Q,
 disjoint from R, that spans a matching of size a and satisfies
 nu(H[Q u R]) >= a + 1. The test is _matching_in, which runs max_matching's
-search on Q u R in the host's labels, with no induced subgraph;
-disjointness always holds, because every R (a probe or a set to absorb) is
-drawn from vertices outside the family.
+search on the edges core.edges_within finds inside Q u R, in the host's
+labels, with no induced subgraph; disjointness always holds, because every
+R (a probe or a set to absorb) is drawn from vertices outside the family.
 
 The family sampler draws every a*k-subset of the vertex set independently
 with probability rho * n / C(n, a*k) (clamped to one), then prunes in one
@@ -19,16 +19,15 @@ The probe count needs no search for a probe R that spans an edge e: R is
 drawn from the free vertices, so it misses every member Q, and the a edges
 admission certified inside Q plus e are a + 1 disjoint edges of H[R u Q]
 (|R| = a*l + h >= a*(k-l) + k >= k). So every member absorbs such an R.
-Whether R spans an edge is decided on core._looks_up's route and stops at
-the first edge found; only a probe that spans none runs the search
-nu(H[R u Q]) >= a + 1 per member Q.
+Whether R spans an edge is the first edge core.edges_within yields, if any;
+only a probe that spans none runs the search nu(H[R u Q]) >= a + 1 per
+member Q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
@@ -92,13 +91,6 @@ def _matching_in(H: Hypergraph, X, t: int) -> tuple:
     return tuple(witness[:t]) if len(witness) >= t else ()
 
 
-def _spans_edge(H: Hypergraph, X) -> bool:
-    """Whether X contains an edge of H, on core._looks_up's route; stops at the first one."""
-    if core._looks_up(H, len(X)):
-        return any(map(H.edge_set.__contains__, combinations(sorted(X), H.k)))
-    return any(map(frozenset(X).issuperset, H.edges))
-
-
 @dataclass(frozen=True)
 class AbsorbingFamily:
     """Pruned pairwise-disjoint matchable members plus their matchings."""
@@ -146,6 +138,7 @@ def sample_absorbing_family(
     rho = Fraction(rho)
     if not 0 < rho < 1:
         raise DomainError("rho must lie strictly between 0 and 1")
+    check_counts(probes=probes)
     if probes < 0:
         raise DomainError(f"probes must be non-negative, got {probes}")
     if params.k != H.k:
@@ -197,7 +190,7 @@ def sample_absorbing_family(
         worst = len(members)
         for j in range(probes):
             probe = rng.sample(free, params.r_size, TAG_PROBE, j)
-            if not _spans_edge(H, probe):
+            if next(core.edges_within(H, sorted(probe)), None) is None:
                 hits = sum(1 for q in members if _matching_in(H, {*probe, *q}, params.a + 1))
                 worst = min(worst, hits)
             if worst == 0:

@@ -26,9 +26,11 @@ generator, the extremal generators (clique-minus included),
 edges). `tests/test_source_rules.py` rejects a call from anywhere else.
 
 The edges of H[X] are found on one of two routes, and `_looks_up` alone picks
-it, for `induced` and exact's matching search: when C(|X|, k) < e(H) each
-k-subset of X is looked up in the edge set, otherwise one scan of the edges
-keeps those inside X. The cost is the smaller count either way.
+it: when C(|X|, k) < e(H) each k-subset of X is looked up in the edge set,
+otherwise one scan of the edges keeps those inside X. The cost is the smaller
+count either way. Only `induced` and `edges_within` ask the rule: exact's
+matching search on a vertex subset and the absorber probes take H[X]'s
+edges from `edges_within`.
 
 The minimum l-degree also pays for the smaller count: it splits each edge into
 its l-sets, or, when more than half the k-sets are edges, each missing k-set.
@@ -41,7 +43,7 @@ from collections import Counter
 from itertools import chain, combinations, filterfalse, repeat
 from math import comb
 from operator import lt
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, SizeLimitError
 
@@ -267,6 +269,7 @@ def weakest_set(H: Hypergraph, l: int) -> tuple:
     min(e(H), C(n, k) - e(H))·C(k, l) dict operations, plus the walk of the
     C(n, l) l-sets or a pass over the C(n, k) k-sets.
     """
+    check_counts(l=l)
     if not 0 <= l <= H.k:
         raise DomainError(f"l must satisfy 0 <= l <= k, got l={l}")
     if H.n < l:
@@ -307,6 +310,14 @@ class Subgraph(NamedTuple):
 def _looks_up(H: Hypergraph, size: int) -> bool:
     """Whether H[X] with |X| = size is found by lookup (the module docstring's route rule)."""
     return comb(size, H.k) < H.num_edges
+
+
+def edges_within(H: Hypergraph, xs) -> Iterator[tuple]:
+    """The edges of H inside the sorted vertex sequence xs, lazily, in lex
+    order and in host labels, on _looks_up's route."""
+    if _looks_up(H, len(xs)):
+        return filter(H.edge_set.__contains__, combinations(xs, H.k))
+    return filter(frozenset(xs).issuperset, H.edges)
 
 
 def induced(H: Hypergraph, S: Iterable[int]) -> Subgraph:

@@ -6,12 +6,14 @@ fixed and documented:
 * max_matching returns the lexicographically least maximum matching, from
   the memoized search whose branch order _lex_least_matching states; the
   witness is read back from the recorded picks, charged as the chain walk
-  was. It masks the edges at a vertex only when the search first reaches
-  that vertex; when it scans the edges, the vertices above every edge are
-  dead from the root. Its recursion depth is nu + 1. It stops with
-  SizeLimitError after MATCHING_MAX_NODES evaluations unless forced, and,
-  forced or not, once nu + 1 passes Python's recursion limit. The absorber test in absorbing
-  runs the same search on a vertex subset of the host.
+  was. It lists the edges once per call (the host's own, or those
+  core.edges_within finds inside a vertex subset), masks the edges at a
+  vertex only when the search first reaches that vertex, and kills the
+  vertices above every edge at the root. Its recursion depth is nu + 1. It
+  stops with SizeLimitError after MATCHING_MAX_NODES evaluations unless
+  forced, and, forced or not, once nu + 1 passes Python's recursion limit.
+  The absorber test in absorbing runs the same search on a vertex subset of
+  the host.
 * independence_number adds vertices in index order, include branch first,
   pruning a vertex whose inclusion completes an edge. It has the same node
   budget as max_matching.
@@ -115,51 +117,37 @@ def _lex_least_matching(H: Hypergraph, xs, force: bool) -> list:
     is read back from the recorded picks, charged as the chain walk was: one
     evaluation per edge tried.
 
-    The edges at v are found on core._looks_up's route: the sets (v, *c), c
-    from the live vertices above v, looked up as the search asks, or the
-    lex-ordered slice of H[xs]'s edges that start at v, found by bisection and
-    masked when the search first reaches v, then kept for the call. The scan
-    route also finds the start vertices by bisection jumps over those edges,
-    and kills every vertex above the largest one an edge reaches: such a
-    vertex is isolated, so no value, and hence no pick, changes, but the root
-    bound no longer counts it. On a stable host the vertices left are exactly
-    those in edges. The largest vertex of xs is looked for among the edges'
-    last vertices before any max is taken, so a dense host pays for a few
-    edges only.
+    H[xs]'s edges are listed once, in lex order: the host's edges when xs is
+    every vertex, else those core.edges_within finds. The edges at v are
+    their slice that starts at v, found by bisection and masked when the
+    search first reaches v, then kept for the call. The start vertices are
+    found by bisection jumps over the edges, and every vertex above the
+    largest one an edge reaches is killed: such a vertex is isolated, so no
+    value, and hence no pick, changes, but the root bound no longer counts
+    it. On a stable host the vertices left are exactly those in edges. The
+    largest vertex of xs is looked for among the edges' last vertices before
+    any max is taken, so a dense host pays for a few edges only.
 
     Every nu call, memo hits included, counts against the budget.
     """
     k, every = H.k, len(xs) == H.n
     full = (1 << H.n) - 1 if every else _mask(xs)
-    if core._looks_up(H, len(xs)):
-        edge_set = H.edge_set
+    edges = H.edges if every else tuple(core.edges_within(H, xs))
+    if xs and xs[-1] not in map(itemgetter(-1), edges):
+        full &= (1 << max(map(itemgetter(-1), edges), default=-1) + 1) - 1
+    starts, i = 0, 0
+    while i < len(edges):
+        v = edges[i][0]
+        starts |= 1 << v
+        i = bisect_left(edges, (v + 1,), i)
+    at_v: dict = {}
 
-        def edges_at(v, dead):
-            above = [u for u in xs if u > v and not dead >> u & 1]
-            for c in combinations(above, k - 1):
-                if (v, *c) in edge_set:
-                    yield (v, *c), _mask(c) | 1 << v
-
-        contains = edge_set.__contains__
-        starts = _mask(v for i, v in enumerate(xs[: len(xs) - k + 1])
-                       if any(map(contains, map((v,).__add__, combinations(xs[i + 1 :], k - 1)))))
-    else:
-        edges = H.edges if every else tuple(filter(frozenset(xs).issuperset, H.edges))
-        if xs and xs[-1] not in map(itemgetter(-1), edges):
-            full &= (1 << max(map(itemgetter(-1), edges), default=-1) + 1) - 1
-        starts, i = 0, 0
-        while i < len(edges):
-            v = edges[i][0]
-            starts |= 1 << v
-            i = bisect_left(edges, (v + 1,), i)
-        at_v: dict = {}
-
-        def edges_at(v, dead):
-            got = at_v.get(v)
-            if got is None:
-                at = edges[bisect_left(edges, (v,)) : bisect_left(edges, (v + 1,))]
-                got = at_v[v] = list(zip(at, map(_mask, at)))
-            return got
+    def edges_at(v):
+        got = at_v.get(v)
+        if got is None:
+            at = edges[bisect_left(edges, (v,)) : bisect_left(edges, (v + 1,))]
+            got = at_v[v] = list(zip(at, map(_mask, at)))
+        return got
 
     limit = inf if force else MATCHING_MAX_NODES
     memo: dict = {}
@@ -167,10 +155,9 @@ def _lex_least_matching(H: Hypergraph, xs, force: bool) -> list:
     evaluations = 0
 
     def over_budget() -> SizeLimitError:
-        e = sum(m & full == m for m in map(_mask, H.edges))
         return SizeLimitError(
             f"the exact matching search enforces at most {limit} search "
-            f"evaluations; n={len(xs)}, e={e}"
+            f"evaluations; n={len(xs)}, e={len(edges)}"
         )
 
     def nu(dead: int) -> int:
@@ -187,7 +174,7 @@ def _lex_least_matching(H: Hypergraph, xs, force: bool) -> list:
             if best >= bound:
                 break
             v = (live & -live).bit_length() - 1
-            for e, m in edges_at(v, d):
+            for e, m in edges_at(v):
                 if not m & d:
                     tried += 1
                     got = 1 + nu(d | m)

@@ -38,7 +38,7 @@ from itertools import combinations, compress, product
 
 from . import core
 from .constructions import comb0
-from .core import Hypergraph, _mask, induced, vertex_subset
+from .core import Hypergraph, _mask, check_counts, induced, vertex_subset
 from .errors import CertificationError, DomainError, PipelineError, SizeLimitError
 from .exact import independence_number
 from .fractional import fractional_optimum
@@ -78,6 +78,7 @@ def _round1_domain(copies: int, p: Fraction) -> Fraction:
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise DomainError(f"p must lie in [0, 1], got {p}")
+    check_counts(copies=copies)
     if copies < 1:
         raise DomainError("need at least one copy")
     return p

@@ -177,6 +177,7 @@ def random_stable_hypergraph(n: int, k: int, seed: int, generator_count: int = 3
 
 
 def _trials(trials: int) -> range:
+    check_counts(trials=trials)
     if trials < 0:
         raise DomainError(f"--trials must be non-negative, got {trials}")
     return range(trials)

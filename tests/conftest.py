@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 import hypermatch
-from hypermatch import Hypergraph
+from hypermatch import Hypergraph, SizeLimitError, exact, max_matching
 
 settings.register_profile("suite", deadline=None, max_examples=40)
 settings.register_profile("intense", deadline=None, max_examples=300)
@@ -48,3 +48,27 @@ sys.exit(main(sys.argv[1:]))
         [sys.executable, "-c", script, *map(str, argv)],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def least_budget(H, monkeypatch):
+    """The fewest MATCHING_MAX_NODES at which max_matching succeeds: the
+    search's evaluation count, read-back charges included."""
+    def solves(budget):
+        monkeypatch.setattr(exact, "MATCHING_MAX_NODES", budget)
+        try:
+            max_matching(H)
+        except SizeLimitError:
+            return False
+        return True
+
+    hi = 1
+    while not solves(hi):
+        hi *= 2
+    lo = hi // 2 + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if solves(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi

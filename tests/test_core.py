@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -7,20 +7,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypermatch import (
+    AbsorbingParameters,
     DomainError,
     Hypergraph,
     build_space_barrier,
     complete_hypergraph,
     degree,
     from_json,
+    almost_perfect_pipeline,
     induced,
     min_l_degree,
     remove,
+    round1_sample,
+    sample_absorbing_family,
     to_json,
 )
 from hypermatch import core
 from hypermatch.core import _looks_up, weakest_set
 from hypermatch.rng import CounterRng, random_hypergraph
+from hypermatch.stability import frankl_suite, katona_suite, stability2_suite
 
 seeds = st.integers(0, 10**9)
 
@@ -182,6 +187,60 @@ def test_induced_and_remove_match_brute_force(k):
                     assert sub.vertices == tuple(rest) and sub.graph.n == n - size
                     assert sub.graph.edges == brute_induced(H, rest)
     assert routes == {True, False}
+
+
+K9 = complete_hypergraph(9, 3)
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        (lambda: sample_absorbing_family(K9, AbsorbingParameters(3, 2, 1, 2), Fraction(1, 4), 0, probes=2.5),
+         "probes", 2.5),
+        (lambda: sample_absorbing_family(K9, AbsorbingParameters(3, 2, 1, 2), Fraction(1, 4), 0, probes=True),
+         "probes", True),
+        (lambda: katona_suite(2.5), "trials", 2.5),
+        (lambda: frankl_suite("3"), "trials", "3"),
+        (lambda: stability2_suite(2.0), "trials", 2.0),
+        (lambda: round1_sample(K9, 2.5, Fraction(1, 2), 0), "copies", 2.5),
+        (lambda: round1_sample(K9, True, Fraction(1, 2), 0), "copies", True),
+        (lambda: almost_perfect_pipeline(Hypergraph(9, 3, []), 2.5, Fraction(1, 2), 0), "copies", 2.5),
+        (lambda: weakest_set(K9, 2.0), "l", 2.0),
+        (lambda: min_l_degree(K9, 2.0), "l", 2.0),
+        (lambda: min_l_degree(K9, True), "l", True),
+    ],
+    ids=["probes-float", "probes-bool", "katona-trials-float", "frankl-trials-str",
+         "stability2-trials-float", "round1-copies-float", "round1-copies-bool",
+         "edgeless-pipeline-copies-float", "weakest-set-l-float", "min-l-degree-float",
+         "min-l-degree-bool"],
+)
+def test_a_count_that_is_not_an_int_is_refused(call, name, value):
+    # core.check_counts' rule: a float, a bool or a str is never a count. Each
+    # of these once raised a raw TypeError, or ran and echoed True.
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert str(caught.value) == f"{name} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("looks_up", [True, False], ids=["lookup", "scan"])
+def test_edges_within_yields_the_induced_edges_lifted(monkeypatch, looks_up):
+    # Either forced route lists exactly H[X]'s edges, in host labels and lex order.
+    cases = []
+    for seed, k in product(range(4), (2, 3, 4)):
+        rng = CounterRng(seed)
+        for p in (Fraction(1, 20), Fraction(1, 4), Fraction(1)):
+            H = random_hypergraph(10, k, p, 10 * seed + k)
+            for size in range(11):
+                X = sorted(rng.sample(list(range(10)), size, k, size, p.denominator))
+                sub = induced(H, X)
+                cases.append((H, X, tuple(map(sub.lift, sub.graph.edges))))
+    routes = []
+    monkeypatch.setattr(core, "_looks_up", lambda H, size: routes.append(size) or looks_up)
+    for H, X, expected in cases:
+        edges = core.edges_within(H, X)
+        assert iter(edges) is edges and tuple(edges) == expected, (H.edges, X)
+    assert routes == [len(X) for _, X, _ in cases]
+    assert {bool(expected) for _, _, expected in cases} == {True, False}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

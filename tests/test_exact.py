@@ -27,6 +27,8 @@ from hypermatch.exact import MatchingResult
 from hypermatch.rng import CounterRng, random_hypergraph
 from hypermatch.stability import random_stable_hypergraph
 
+from conftest import least_budget
+
 seeds = st.integers(0, 10**9)
 
 
@@ -330,32 +332,8 @@ def test_search_masks_only_the_edges_at_the_vertices_it_reaches(monkeypatch):
     assert len(calls) == sum(comb(29 - v, 2) for v in range(0, 30, 3)) == 1495
 
 
-def least_budget(H, monkeypatch):
-    # The fewest MATCHING_MAX_NODES at which max_matching succeeds: the
-    # search's evaluation count, read-back charges included.
-    def solves(budget):
-        monkeypatch.setattr(exact, "MATCHING_MAX_NODES", budget)
-        try:
-            max_matching(H)
-        except SizeLimitError:
-            return False
-        return True
-
-    hi = 1
-    while not solves(hi):
-        hi *= 2
-    lo = hi // 2 + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if solves(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
-
-
 def test_isolated_top_vertices_cost_no_evaluations(monkeypatch):
-    # The scan route kills the vertices above every edge at the root, so a
+    # The search kills the vertices above every edge at the root, so a
     # host padded with isolated top vertices is searched as the host itself.
     hosts = [complete_hypergraph(7, 2)]
     for i in range(60):
@@ -377,8 +355,9 @@ def test_budget_message_counts_every_vertex_of_the_search(monkeypatch):
 
 
 def test_scan_route_on_a_vertex_subset_of_a_dense_host(monkeypatch):
-    # Dense hosts send small vertex sets to the lookup route; the forced scan
-    # route must still give the oracle's witness on H[X], in host labels.
+    # Dense hosts send small vertex sets to edges_within's lookup route; with
+    # the scan route forced, the search must still give the oracle's witness
+    # on H[X], in host labels.
     cases = []
     for i in range(120):
         k = 2 + i % 3
