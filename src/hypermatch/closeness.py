@@ -117,6 +117,7 @@ def closest_partition(
         raise DomainError(f"need 0 <= m <= n, got m={m}")
     if not 1 <= s <= H.k:
         raise DomainError(f"need 1 <= s <= k, got s={s}")
+    rng = CounterRng(seed)  # before the scan too, so a bad seed is refused on either route
     barrier_total = space_barrier_edge_count(H.n, H.k, s, m)
     masks = list(map(_mask, H.edges))
     if exhaustive(H.n, force):
@@ -129,7 +130,6 @@ def closest_partition(
                     break
         return best_w, best_d
 
-    rng = CounterRng(seed)
     best_w, best_d = None, None
     for r in range(CLOSEST_RESTARTS):
         w = sorted(rng.sample(list(range(H.n)), m, TAG_SEARCH, r))
@@ -173,6 +173,7 @@ def f_density_check(
     eps = Fraction(eps)
     if eps <= 0:
         raise DomainError("eps must be a positive rational")
+    rng = CounterRng(seed)  # before the scan too, so a bad seed is refused on either route
     n, k = H.n, H.k
     floor_frac = (1 - Fraction(1, k) - eps / 4) * n
     size = max(0, ceil(floor_frac))
@@ -188,7 +189,6 @@ def f_density_check(
                 return False, a
         return True, None
 
-    rng = CounterRng(seed)
     universe = list(range(n))
     for t in range(DENSITY_TRIALS):
         a = tuple(sorted(rng.sample(universe, size, TAG_SET_SAMPLE, t)))

@@ -21,6 +21,14 @@ cancels, both coefficients are positive), with ties still going to the
 lowest basis index. Every pivot is therefore the one a Fraction tableau would
 take, and x, y and the value come out identical to it once divided by D.
 
+A pivot with piv == D (about half of the row updates on the pipeline's LPs)
+keeps D, and row a becomes a - f*b // D: it changes only where the pivot row
+b is nonzero, and not at all when f = 0. So such a pivot lists b's support
+once and updates only those entries, in place. f*b // D is exact as well:
+(a*D - f*b) / D is an entry of the new tableau, an integer, and a*D is a
+multiple of D, so f*b is one too. Every other pivot rewrites every entry of
+every row.
+
 The tableau is revised (Dantzig and Orchard-Hays 1954): only its slack block
 D * B^-1, the rhs and the reduced-cost row over the slack columns and the rhs
 are stored and pivoted, since every other column follows from them. The
@@ -52,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress, count
-from operator import add
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from .core import Hypergraph, check_enumeration
@@ -116,7 +124,11 @@ def _simplex_optimum(H: Hypergraph, force: bool = False):
         if enter is not None:
             c = cols[enter]
             f = sum(map(get, c)) - D
-            column = [sum(map(row.__getitem__, c)) for row in rows]
+            if len(c) > 1:
+                gather = itemgetter(*c)
+                column = [sum(gather(row)) for row in rows]
+            else:  # a one-key itemgetter returns the entry, not a tuple
+                column = [sum(map(row.__getitem__, c)) for row in rows]
         else:
             s = next((s for s in range(m) if z[s] < 0), None)
             if s is None:
@@ -138,10 +150,21 @@ def _simplex_optimum(H: Hypergraph, force: bool = False):
             raise CertificationError("matching LP reported unbounded; impossible")
         prow = rows[leave_row]
         piv = column[leave_row]
-        for i, coef in enumerate(column):
-            if i != leave_row:
-                rows[i] = _bareiss_row(rows[i], prow, coef, piv, D)
-        z = _bareiss_row(z, prow, f, piv, D)
+        if piv == D:
+            # D stays, so a row changes only where the pivot row is nonzero.
+            support = [(j, b) for j, b in enumerate(prow) if b]
+            for i, coef in enumerate(column):
+                if coef and i != leave_row:
+                    row = rows[i]
+                    for j, b in support:
+                        row[j] -= coef * b // D
+            for j, b in support:  # f < 0: the entering column prices negative
+                z[j] -= f * b // D
+        else:
+            for i, coef in enumerate(column):
+                if i != leave_row:
+                    rows[i] = _bareiss_row(rows[i], prow, coef, piv, D)
+            z = _bareiss_row(z, prow, f, piv, D)
         basis[leave_row] = enter
         D = piv
 
@@ -156,9 +179,15 @@ def _simplex_optimum(H: Hypergraph, force: bool = False):
 
 
 def _bareiss_row(row, prow, f, piv, D):
-    """One non-pivot row of an integer-preserving pivot: (a*piv - f*b) // D, exactly."""
+    """One non-pivot row of an integer-preserving pivot: (a*piv - f*b) // D, exactly.
+
+    Only a pivot with piv != D comes here, and it rewrites every entry. A
+    pivot with piv == D changes a row only where the pivot row b is nonzero,
+    by f*b // D, which is exact because a*D - f*b and a*D are multiples of D;
+    _simplex_optimum updates those entries in place.
+    """
     if f == 0:
-        return row if piv == D else [a * piv // D for a in row]
+        return [a * piv // D for a in row]
     return [(a * piv - f * b) // D for a, b in zip(row, prow)]
 
 

@@ -22,7 +22,7 @@ from functools import cache
 from itertools import chain, combinations, compress
 from math import comb
 
-from .core import Hypergraph
+from .core import Hypergraph, check_counts
 from .errors import DomainError
 
 _MASK64 = (1 << 64) - 1
@@ -56,7 +56,7 @@ def _lanes(size: int) -> tuple:
     """(ones, index, mask, gamma) for a block of size 128-bit lanes: 1, the
     lane's index, 2^64 - 1 and _GAMMA in every lane; built at first use."""
     ones = int.from_bytes(b"\x01".ljust(16, b"\x00") * size, "little")
-    index = sum(j << 128 * j for j in range(size))
+    index = int.from_bytes(b"".join(j.to_bytes(16, "little") for j in range(size)), "little")
     return ones, index, _MASK64 * ones, _GAMMA * ones
 
 
@@ -66,7 +66,8 @@ class CounterRng:
     __slots__ = ("seed", "_root")
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
+        check_counts(seed=seed)  # a float or bool seed would be truncated to another seed's stream
+        self.seed = seed & _MASK64
         self._root = splitmix64(self.seed)
 
     def raw(self, *key: int) -> int:

@@ -165,7 +165,6 @@ def random_stable_hypergraph(n: int, k: int, seed: int, generator_count: int = 3
     # type() rather than isinstance(), as in core: a bool is not a count.
     if type(generator_count) is not int or generator_count < 0:
         raise DomainError(f"generator count must be a nonnegative integer, got {generator_count!r}")
-    check_counts(seed=seed)
     check_enumeration(n, k)  # before the draws, whose unranking walks up to n
     rng = CounterRng(seed)
     total = comb(n, k)

@@ -1,13 +1,23 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import settings
 
 import hypermatch
-from hypermatch import Hypergraph, SizeLimitError, exact, max_matching
+from hypermatch import (
+    Hypergraph,
+    SizeLimitError,
+    build_space_barrier,
+    complete_hypergraph,
+    exact,
+    max_matching,
+)
+from hypermatch.rng import CounterRng, random_hypergraph
 
 settings.register_profile("suite", deadline=None, max_examples=40)
 settings.register_profile("intense", deadline=None, max_examples=300)
@@ -72,3 +82,32 @@ def least_budget(H, monkeypatch):
         else:
             lo = mid + 1
     return hi
+
+
+def pipeline_host(index: int) -> Hypergraph:
+    """The benchmark's pipeline hosts: K30^(3) (index 0), then barrier-noise hosts.
+
+    A barrier-noise host is the space barrier on 30 vertices with s = k = 3
+    and |W| = 10, plus each 3-set outside W at rate 0.3, drawn from the
+    benchmark's own host stream: index 1 from seed 0, indices 2-9 from seed 1.
+    """
+    n, k, w, rate = 30, 3, 10, 0.3
+    if index == 0:
+        return complete_hypergraph(n, k)
+    rng = random.Random(f"hosts:{0 if index == 1 else 1}")
+    outside = list(combinations(range(w, n), k))
+    for _ in range(1 if index == 1 else index - 1):
+        noise = [c for c in outside if rng.random() < rate]
+    barrier = list(build_space_barrier(n, k, k, w).edges)
+    return Hypergraph(n, k, barrier + noise, name=f"barrier-noise-{index}")
+
+
+def padded_host(i):
+    # A random host with 1 to 5 isolated vertices appended above it; every
+    # other one is relabelled at random, so some isolated vertices fall inside.
+    k = 2 + i % 3
+    n = k + i % (10 - k)
+    H = random_hypergraph(n, k, Fraction(1 + i % 9, 10), i)
+    size = n + 1 + i % 5
+    label = CounterRng(i).sample(list(range(size)), size) if i % 2 else range(size)
+    return Hypergraph(size, k, [[label[v] for v in e] for e in H.edges])

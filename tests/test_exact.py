@@ -27,7 +27,7 @@ from hypermatch.exact import MatchingResult
 from hypermatch.rng import CounterRng, random_hypergraph
 from hypermatch.stability import random_stable_hypergraph
 
-from conftest import least_budget
+from conftest import least_budget, padded_host
 
 seeds = st.integers(0, 10**9)
 
@@ -301,17 +301,6 @@ ORACLE_HOSTS = {
     ],
     "padded": lambda: [padded_host(i) for i in range(300)],
 }
-
-
-def padded_host(i):
-    # A random host with 1 to 5 isolated vertices appended above it; every
-    # other one is relabelled at random, so some isolated vertices fall inside.
-    k = 2 + i % 3
-    n = k + i % (10 - k)
-    H = random_hypergraph(n, k, Fraction(1 + i % 9, 10), i)
-    size = n + 1 + i % 5
-    label = CounterRng(i).sample(list(range(size)), size) if i % 2 else range(size)
-    return Hypergraph(size, k, [[label[v] for v in e] for e in H.edges])
 
 
 @pytest.mark.parametrize("family", sorted(ORACLE_HOSTS))

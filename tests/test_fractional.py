@@ -1,5 +1,4 @@
 import json
-import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,7 +25,7 @@ from hypermatch.fractional import _simplex_optimum
 from hypermatch.pipeline import round1_sample
 from hypermatch.rng import CounterRng, random_hypergraph
 
-from conftest import cli_under_a_memory_cap
+from conftest import cli_under_a_memory_cap, pipeline_host
 
 seeds = st.integers(0, 10**9)
 
@@ -159,24 +158,6 @@ def _assert_matches_oracle(H: Hypergraph):
     assert list(sol.vertex_weights.items()) == list(enumerate(y)), H.name
 
 
-def _pipeline_host(index: int) -> Hypergraph:
-    """The benchmark's pipeline hosts: K30^(3) (index 0), then barrier-noise hosts.
-
-    A barrier-noise host is the space barrier on 30 vertices with s = k = 3
-    and |W| = 10, plus each 3-set outside W at rate 0.3, drawn from the
-    benchmark's own host stream: index 1 from seed 0, indices 2-9 from seed 1.
-    """
-    n, k, w, rate = 30, 3, 10, 0.3
-    if index == 0:
-        return complete_hypergraph(n, k)
-    rng = random.Random(f"hosts:{0 if index == 1 else 1}")
-    outside = list(combinations(range(w, n), k))
-    for _ in range(1 if index == 1 else index - 1):
-        noise = [c for c in outside if rng.random() < rate]
-    barrier = list(build_space_barrier(n, k, k, w).edges)
-    return Hypergraph(n, k, barrier + noise, name=f"barrier-noise-{index}")
-
-
 def _padded(G: Hypergraph, front: int, back: int) -> Hypergraph:
     """G with `front` uncovered vertices before its own and `back` after them."""
     edges = [tuple(v + front for v in e) for e in G.edges]
@@ -228,7 +209,7 @@ class TestIntegerSimplexMatchesFractionOracle:
         # The LP shape the pipeline solves: each round-one copy (10 copies at
         # p = 1/4, seeded by the host's index) of a benchmark pipeline host,
         # induced on the copy.
-        H = _pipeline_host(index)
+        H = pipeline_host(index)
         for copy in round1_sample(H, 10, Fraction(1, 4), index).copies:
             _assert_matches_oracle(induced(H, copy).graph)
 

@@ -6,8 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypermatch import DomainError, Hypergraph, complete_hypergraph
+from hypermatch import (
+    AbsorbingParameters,
+    DomainError,
+    Hypergraph,
+    closest_partition,
+    complete_hypergraph,
+    sample_absorbing_family,
+    threshold_sweep,
+)
+from hypermatch.closeness import f_density_check
 from hypermatch.pipeline import round1_sample
+from hypermatch.stability import katona_suite, random_stable_hypergraph
 from hypermatch.rng import (
     _BLOCK,
     TAG_ROUND1,
@@ -248,3 +258,31 @@ def test_round1_sample_equals_the_scalar_loop(p, seed):
         copies = scalar_round1(H, 4, p, seed)
         assert sample.copies == copies
         assert sample.y_singleton == tuple(sum(v in c for c in copies) for v in range(n))
+
+
+K93 = complete_hypergraph(9, 3)
+
+# Every seeded entry point, called with the seed under test. Each builds a
+# CounterRng, which refuses a seed that is not an int; int(seed) would have
+# run 2.5 as seed 2 and True as seed 1.
+SEEDED_CALLS = {
+    "CounterRng": CounterRng,
+    "random_hypergraph": lambda seed: random_hypergraph(6, 3, Fraction(1, 2), seed),
+    "random_stable_hypergraph": lambda seed: random_stable_hypergraph(9, 3, seed),
+    "round1_sample": lambda seed: round1_sample(K93, 2, Fraction(1, 2), seed),
+    "sample_absorbing_family": lambda seed: sample_absorbing_family(
+        K93, AbsorbingParameters(3, 2, 1, 2), Fraction(1, 3), seed
+    ),
+    "closest_partition": lambda seed: closest_partition(K93, 3, 1, seed),
+    "f_density_check": lambda seed: f_density_check(K93, Fraction(1, 2), seed=seed),
+    "katona_suite": lambda seed: katona_suite(1, seed),
+    "threshold_sweep": lambda seed: threshold_sweep(3, 2, 9, 9, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [2.5, True, "x", None])
+@pytest.mark.parametrize("call", sorted(SEEDED_CALLS))
+def test_a_seed_that_is_not_an_int_raises_domain_error(call, seed):
+    with pytest.raises(DomainError) as info:
+        SEEDED_CALLS[call](seed)
+    assert str(info.value) == f"seed must be an integer, got {seed!r}"
