@@ -10,13 +10,13 @@ large m.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import ceil, comb, floor
 
 from .absorbing import default_parameters
 from .core import Hypergraph, check_counts, check_enumeration, min_l_degree, vertex_subset
 from .errors import DomainError
-from .exact import max_matching
+from .exact import _first_fit, max_matching
 from .rng import TAG_SET_SAMPLE, CounterRng, random_hypergraph
 
 
@@ -128,7 +128,9 @@ def threshold_sweep(k: int, l: int, n_start: int, n_end: int, mu=Fraction(1, 4),
                 found = 0
                 for t in range(search_trials):
                     H = random_hypergraph(n, k, search_p, rng.raw(TAG_SET_SAMPLE, n, m, t))
-                    if min_l_degree(H, l) > thr and max_matching(H).size <= m:
+                    # m + 1 disjoint first-fit edges already give nu > m
+                    if (len(tuple(islice(_first_fit(H), m + 1))) <= m
+                            and min_l_degree(H, l) > thr and max_matching(H).size <= m):
                         found += 1
                 row["search_trials"] = search_trials
                 row["counterexamples_found"] = found

@@ -21,6 +21,10 @@ fixed and documented:
   a size, keeping the first minimizer; it exits early once the running
   minimum matches a greedy (maximal-matching) lower bound, which never
   changes the reported minimizer.
+* greedy_matching is a lex-order first-fit scan with two readers:
+  berge_deficiency takes its whole length as that lower bound, and
+  constructions.threshold_sweep takes at most m + 1 of its edges, lazily,
+  since m + 1 disjoint edges already rule out nu <= m.
 
 Parallel splits of the branch trees would have to reproduce exactly these
 tie-breaks; the implementations here are sequential.
@@ -71,13 +75,17 @@ def validate_matching(H: Hypergraph, matching) -> bool:
 
 def greedy_matching(H: Hypergraph) -> tuple:
     """Maximal matching from a lexicographic scan; a deterministic lower bound."""
-    covered = 0
-    out = []
-    for e, em in zip(H.edges, map(_mask, H.edges)):
-        if not em & covered:
-            covered |= em
-            out.append(e)
-    return tuple(out)
+    return tuple(_first_fit(H))
+
+
+def _first_fit(H: Hypergraph):
+    """Yield greedy_matching's edges lazily: each edge, in lex order, that
+    misses every edge yielded before it."""
+    covered = set()
+    for e in H.edges:
+        if covered.isdisjoint(e):
+            covered.update(e)
+            yield e
 
 
 MATCHING_MAX_NODES = 1 << 20  # nodes the matching or independence search visits without force

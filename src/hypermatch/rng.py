@@ -75,7 +75,9 @@ class CounterRng:
         is hashed once, at construction: one mixer step per key part."""
         h = self._root
         for part in key:
-            h = splitmix64(h ^ (int(part) & _MASK64))
+            if type(part) is not int:  # check_counts's test: 2.5 or True would alias another key
+                raise DomainError(f"key part must be an integer, got {part!r}")
+            h = splitmix64(h ^ (part & _MASK64))
         return h
 
     def bernoulli(self, p: Fraction, *key: int) -> bool:

@@ -1,5 +1,6 @@
 import os
 import random
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -40,6 +41,37 @@ def fano():
 
 
 HALF = Fraction(1, 2)
+
+SIMPLEX_DEADLINE_S = 20  # each simplex test takes under 1 s; hypothesis's intense profile a few
+
+
+class DeadlineExceeded(BaseException):
+    """Not an Exception, so neither the code under test nor hypothesis's
+    shrinker catches it: the test fails at once, under its own name."""
+
+
+@pytest.fixture
+def simplex_deadline(request):
+    """Fail the test if it runs past SIMPLEX_DEADLINE_S, by SIGALRM.
+
+    The simplex has no pivot cap, so a broken tableau loops forever; this
+    turns that hang into a failure named after the test. Where SIGALRM does
+    not exist, the test runs without a deadline.
+    """
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise DeadlineExceeded(f"{request.node.nodeid} ran past its {SIMPLEX_DEADLINE_S}-s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(SIMPLEX_DEADLINE_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def cli_under_a_memory_cap(*argv):

@@ -8,6 +8,7 @@ import pytest
 from hypermatch import (
     DomainError,
     Hypergraph,
+    SizeLimitError,
     build_clique_minus,
     build_parity,
     build_space_barrier,
@@ -21,7 +22,10 @@ from hypermatch import (
     threshold_sweep,
     to_json,
 )
+from hypermatch import constructions, exact
 from hypermatch.cli import main
+from hypermatch.exact import greedy_matching
+from hypermatch.rng import TAG_SET_SAMPLE, CounterRng, random_hypergraph
 
 
 def test_comb0_convention():
@@ -170,6 +174,83 @@ class TestParity:
         for k in (0, -1):
             with pytest.raises(DomainError, match="k >= 1"):
                 build_parity(4, 3, k)
+
+
+# (k, l, search_p, seed) for a small sweep n = k + 2 .. k + 5 with m_list 1..4:
+# m runs past n // k, so some hosts have nu <= m and the exact predicate decides.
+SWEEP_CASES = [
+    (k, l, p, 10 * k + l)
+    for k, l in ((3, 1), (3, 2), (4, 3), (5, 3))
+    for p in (Fraction(1, 10), Fraction(1, 3), Fraction(3, 4), Fraction(1))
+]
+
+
+def small_sweep(k, l, p, seed):
+    return threshold_sweep(k, l, k + 2, k + 5, m_list=[1, 2, 3, 4], search_trials=3, search_p=p, seed=seed)
+
+
+def search_hosts(row, k, p, seed):
+    """The row's seeded search hosts, drawn as threshold_sweep draws them."""
+    n, m = row["n"], row["m"]
+    rng = CounterRng(seed)
+    return [random_hypergraph(n, k, p, rng.raw(TAG_SET_SAMPLE, n, m, t)) for t in range(row["search_trials"])]
+
+
+class TestSweepSearch:
+    """The search counts hosts with min l-degree above the threshold and
+    nu <= m; m + 1 disjoint first-fit edges rule a host out before either
+    is computed."""
+
+    def test_counts_equal_the_full_predicate(self):
+        found = 0
+        for k, l, p, seed in SWEEP_CASES:
+            for row in small_sweep(k, l, p, seed)["rows"]:
+                thr = threshold_formula(row["n"], k, l, row["m"])
+                recount = sum(
+                    min_l_degree(H, l) > thr and max_matching(H).size <= row["m"]
+                    for H in search_hosts(row, k, p, seed)
+                )
+                assert row["counterexamples_found"] == recount, (k, l, p, row)
+                found += recount
+        assert found > 0
+
+    def test_exact_kernels_run_only_where_first_fit_falls_short(self, monkeypatch):
+        seen = {"min_l_degree": [], "max_matching": []}
+
+        def recorded(name, kernel):
+            def call(H, *args):
+                seen[name].append(H.edges)
+                return kernel(H, *args)
+            return call
+
+        monkeypatch.setattr(constructions, "min_l_degree", recorded("min_l_degree", min_l_degree))
+        monkeypatch.setattr(constructions, "max_matching", recorded("max_matching", max_matching))
+        expected = {"min_l_degree": [], "max_matching": []}
+        hosts = short = 0
+        for k, l, p, seed in SWEEP_CASES:
+            for row in small_sweep(k, l, p, seed)["rows"]:
+                barrier = build_space_barrier(row["n"], k, k, row["m"]).edges
+                expected["min_l_degree"].append(barrier)
+                expected["max_matching"].append(barrier)
+                for H in search_hosts(row, k, p, seed):
+                    hosts += 1
+                    if len(greedy_matching(H)) <= row["m"]:
+                        short += 1
+                        expected["min_l_degree"].append(H.edges)
+                        if min_l_degree(H, l) > row["threshold"]:
+                            expected["max_matching"].append(H.edges)
+        assert seen == expected
+        assert 0 < short < hosts
+
+    def test_a_host_ruled_out_by_first_fit_never_meets_the_budget(self, monkeypatch):
+        # K12^(3) has min 2-degree 10 > 1, the threshold at m = 1, and takes 9
+        # evaluations; the barrier row takes 3. Two first-fit edges rule the
+        # host out, so the sweep finishes where the full predicate stopped.
+        monkeypatch.setattr(exact, "MATCHING_MAX_NODES", 3)
+        report = threshold_sweep(3, 2, 12, 12, mu=Fraction(1, 100), m_list=[1], search_trials=2, search_p=1)
+        assert [(row["m"], row["counterexamples_found"]) for row in report["rows"]] == [(1, 0)]
+        with pytest.raises(SizeLimitError):
+            max_matching(random_hypergraph(12, 3, 1, 0))
 
 
 @pytest.mark.parametrize(

@@ -164,6 +164,7 @@ def _padded(G: Hypergraph, front: int, back: int) -> Hypergraph:
     return Hypergraph(front + G.n + back, G.k, edges, name=f"{G.name}+{front}+{back}")
 
 
+@pytest.mark.usefixtures("simplex_deadline")
 class TestIntegerSimplexMatchesFractionOracle:
     # The integer tableau must take the oracle's pivots step for step, so the
     # vertex (x), the cover (y) and the value come out identical, not merely
@@ -362,6 +363,7 @@ def test_duality_and_sandwich(seed, n, k):
     assert max_matching(H).size <= sol.nu_star <= Fraction(n, k)
 
 
+@pytest.mark.usefixtures("simplex_deadline")
 @given(seed=seeds, n=st.integers(3, 9), k=st.integers(2, 4), quarters=st.integers(1, 4))
 def test_integer_simplex_matches_fraction_oracle(seed, n, k, quarters):
     if k > n:
@@ -395,6 +397,7 @@ def test_stable_completion_contract(seed, n):
     assert max_matching(comp.graph).size <= fractional_optimum(H).nu_star
 
 
+@pytest.mark.usefixtures("simplex_deadline")
 def test_simplex_against_external_lp_solver():
     # Independent oracle: a float LP solver must agree with the exact
     # optimum to numerical tolerance on seeded instances.

@@ -11,17 +11,22 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
+import pytest
+
 from hypermatch import (
     AbsorbingParameters,
+    berge_deficiency,
     build_parity,
     build_space_barrier,
     complete_hypergraph,
     independence_number,
     max_matching,
     sample_absorbing_family,
+    threshold_sweep,
 )
 from hypermatch.absorbing import _matching_in
 from hypermatch.core import induced
+from hypermatch.exact import greedy_matching
 from hypermatch.fractional import _simplex_optimum
 from hypermatch.pipeline import round1_sample
 from hypermatch.rng import CounterRng, random_hypergraph
@@ -111,6 +116,7 @@ def pipeline_corpus():
     return samples, copies + hosts
 
 
+@pytest.mark.usefixtures("simplex_deadline")
 def test_lp_outputs_match_the_pinned_digest():
     # _simplex_optimum's (x, y, value, D) on every LP host: the pivots decide
     # all four, so a changed pivot changes the digest.
@@ -126,3 +132,38 @@ def test_independence_outputs_match_the_pinned_digest():
 def test_round1_outputs_match_the_pinned_digest():
     samples, _ = pipeline_corpus()
     assert digest(repr((s.n, s.p, s.copies)) for s in samples) == PINNED["round1"]
+
+
+def sweep_reports():
+    """threshold_sweep on six (k, l) pairs and five search_p from 1/10 to 1.
+
+    m_list runs to 4, past n // k on the small rows, so on many hosts the
+    first-fit prefix falls short and the exact predicate decides; some rows
+    find counterexamples.
+    """
+    for k, l in ((3, 1), (3, 2), (4, 2), (4, 3), (5, 3), (5, 4)):
+        for i, p in enumerate((Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1))):
+            yield threshold_sweep(k, l, k + 2, k + 6, m_list=[1, 2, 3, 4], search_trials=3, search_p=p, seed=10 * k + i)
+
+
+def test_sweep_outputs_match_the_pinned_digest():
+    # Every row, barrier and search counts alike.
+    assert digest(map(repr, sweep_reports())) == PINNED["sweep"]
+
+
+def berge_hosts():
+    """Graphs for berge_deficiency, whose early exit reads greedy_matching's
+    length: random graphs on 2 to 12 vertices, complete graphs, space
+    barriers and parity graphs."""
+    for i in range(120):
+        yield random_hypergraph(2 + i % 11, 2, Fraction(1 + i % 9, 10), 500 + i)
+    yield from (complete_hypergraph(n, 2) for n in range(2, 13))
+    yield from (build_space_barrier(12, 2, s, m) for s in (1, 2) for m in range(7))
+    yield from (build_parity(na, nb, 2) for na in range(1, 7) for nb in (5, 6))
+
+
+def test_berge_outputs_match_the_pinned_digest():
+    # The greedy lower bound decides only when the scan stops, never the
+    # certificate, so the bound is pinned beside it.
+    lines = (repr((G.n, G.edges, greedy_matching(G), berge_deficiency(G))) for G in berge_hosts())
+    assert digest(lines) == PINNED["berge"]

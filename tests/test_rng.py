@@ -122,6 +122,25 @@ def test_bernoulli_is_the_unit_comparison(p):
     assert all(rng.bernoulli(p, 4, i) == (unit(4, i) < p) for i in range(2000))
 
 
+KEYED_DRAWS = {
+    "raw": lambda rng, *key: rng.raw(*key),
+    "below": lambda rng, *key: rng.below(10, *key),
+    "sample": lambda rng, *key: rng.sample(list(range(5)), 3, *key),
+}
+
+
+@pytest.mark.parametrize("part", [2.5, True, "x", None])
+@pytest.mark.parametrize("draw", sorted(KEYED_DRAWS))
+def test_a_key_part_that_is_not_an_int_raises_domain_error(draw, part):
+    # int(part) once read 2.5 as key part 2 and True as 1, so raw(2.5) == raw(2)
+    # and below(10, 2.5) == below(10, 2); the seed had the same rule already.
+    rng = CounterRng(1)
+    for key in [(part,), (3, part), (part, 3)]:
+        with pytest.raises(DomainError) as info:
+            KEYED_DRAWS[draw](rng, *key)
+        assert str(info.value) == f"key part must be an integer, got {part!r}"
+
+
 def test_bernoulli_subsets_extremes():
     rng = CounterRng(1)
     assert list(bernoulli_subsets(5, 2, Fraction(0), rng, 1)) == []
