@@ -10,14 +10,14 @@ large m.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, filterfalse, islice
 from math import ceil, comb, floor
 
 from .absorbing import default_parameters
 from .core import Hypergraph, check_counts, check_enumeration, min_l_degree, vertex_subset
 from .errors import DomainError
-from .exact import _first_fit, max_matching
-from .rng import TAG_SET_SAMPLE, CounterRng, random_hypergraph
+from .exact import max_matching
+from .rng import TAG_SET_SAMPLE, CounterRng, _random_first_fit, random_hypergraph
 
 
 def comb0(a: int, b: int) -> int:
@@ -29,13 +29,10 @@ def comb0(a: int, b: int) -> int:
 
 def barrier_edges(n: int, k: int, s: int, W) -> list:
     """All k-subsets of range(n) meeting W at least once and at most s times."""
-    wset = frozenset(W)
-    out = []
-    for e in combinations(range(n), k):
-        hits = sum(1 for v in e if v in wset)
-        if 1 <= hits <= s:
-            out.append(e)
-    return out
+    wset, ksets = frozenset(W), combinations(range(n), k)
+    if s >= k:  # every k-set meets W at most k times
+        return list(filterfalse(wset.isdisjoint, ksets))
+    return [e for e in ksets if 1 <= sum(map(wset.__contains__, e)) <= s]
 
 
 def build_space_barrier(n: int, k: int, s: int, m: int, force: bool = False) -> Hypergraph:
@@ -127,11 +124,11 @@ def threshold_sweep(k: int, l: int, n_start: int, n_end: int, mu=Fraction(1, 4),
             if search_trials:  # a row without a search has neither key
                 found = 0
                 for t in range(search_trials):
-                    H = random_hypergraph(n, k, search_p, rng.raw(TAG_SET_SAMPLE, n, m, t))
-                    # m + 1 disjoint first-fit edges already give nu > m
-                    if (len(tuple(islice(_first_fit(H), m + 1))) <= m
-                            and min_l_degree(H, l) > thr and max_matching(H).size <= m):
-                        found += 1
+                    host_seed = rng.raw(TAG_SET_SAMPLE, n, m, t)
+                    # m + 1 disjoint first-fit edges already give nu > m; only their k-sets are drawn
+                    if len(tuple(islice(_random_first_fit(n, k, search_p, host_seed), m + 1))) <= m:
+                        H = random_hypergraph(n, k, search_p, host_seed)
+                        found += min_l_degree(H, l) > thr and max_matching(H).size <= m
                 row["search_trials"] = search_trials
                 row["counterexamples_found"] = found
             rows.append(row)

@@ -12,7 +12,9 @@ to _BLOCK draws at a time: draw i gets one 128-bit lane of a single packed
 int, and each SplitMix64 step runs once on the whole int, with every shift
 masked back to the low 64 bits of each lane so that no bit crosses into the
 next; a 64x64-bit product fits the lane. Every flag equals the scalar
-CounterRng.bernoulli verdict bit for bit.
+CounterRng.bernoulli verdict bit for bit, so _random_first_fit, which reads
+only the flags of the k-sets a first-fit scan inspects, one scalar draw
+each, sees the same host as random_hypergraph.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import cache
 from itertools import chain, combinations, compress
 from math import comb
 
-from .core import Hypergraph, check_counts
+from .core import Hypergraph, _check_shape, check_counts
 from .errors import DomainError
 
 _MASK64 = (1 << 64) - 1
@@ -170,16 +172,48 @@ def bernoulli_subsets(n: int, k: int, p: Fraction, rng: CounterRng, tag: int):
     yield from compress(combinations(range(n), k), rng.bernoulli_flags(p, comb(n, k), tag))
 
 
+def _edge_sample_args(k: int, p, seed: int) -> tuple:
+    """(Fraction(p), CounterRng(seed)) once k, p and seed pass, in that order."""
+    if k < 1:
+        raise DomainError(f"need k >= 1, got k={k}")
+    p = Fraction(p)  # read as pipeline._round1_domain reads it: a float is its exact binary value
+    if not 0 <= p <= 1:
+        raise DomainError(f"p must lie in [0, 1], got {p}")
+    return p, CounterRng(seed)
+
+
 def random_hypergraph(n: int, k: int, p: Fraction, seed: int) -> Hypergraph:
     """Seeded Erdos-Renyi style k-graph: every k-set kept with probability p.
 
     The kept k-sets come in lex order, so the trusted constructor takes them;
     it checks n and k before it draws the first one.
     """
-    if k < 1:
-        raise DomainError(f"need k >= 1, got k={k}")
-    p = Fraction(p)  # read as pipeline._round1_domain reads it: a float is its exact binary value
-    if not 0 <= p <= 1:
-        raise DomainError(f"p must lie in [0, 1], got {p}")
-    rng = CounterRng(seed)
+    p, rng = _edge_sample_args(k, p, seed)
     return Hypergraph._canonical(n, k, bernoulli_subsets(n, k, p, rng, TAG_EDGE_SAMPLE))
+
+
+def _combination_rank(n: int, k: int, c: tuple) -> int:
+    """The lex rank of the k-subset c of range(n); combination_unrank inverts it."""
+    return comb(n, k) - 1 - sum(comb(n - 1 - v, k - j) for j, v in enumerate(c))
+
+
+def _random_first_fit(n: int, k: int, p, seed: int):
+    """Yield greedy_matching(random_hypergraph(n, k, p, seed))'s edges lazily,
+    without building the host; it refuses what random_hypergraph refuses.
+
+    The edge after e is the lex-least kept k-set of the uncovered vertices
+    above e[0]: a lex-smaller one disjoint from the edges so far was scanned
+    and not kept. So only the k-sets first-fit inspects are drawn, each as
+    rng.bernoulli(p, TAG_EDGE_SAMPLE, its lex rank), the stream's own flag.
+    """
+    p, rng = _edge_sample_args(k, p, seed)
+    _check_shape(n, k)
+    prefix, free = rng.raw(TAG_EDGE_SAMPLE), range(n)
+    while True:
+        for e in combinations(free, k):
+            if (splitmix64(prefix ^ _combination_rank(n, k, e)) >> 11) * p.denominator < p.numerator << 53:
+                yield e
+                free = [v for v in free if v > e[0] and v not in e]
+                break
+        else:
+            return

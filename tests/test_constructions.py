@@ -72,6 +72,27 @@ class TestSpaceBarrier:
         expected = {e for e in combinations(range(8), 3) if set(e) & {3, 7}}
         assert set(H.edges) == expected
 
+    def test_barrier_edges_equal_the_per_k_set_count(self):
+        # The loop barrier_edges once ran, one k-set at a time.
+        def reference(n, k, s, W):
+            wset = frozenset(W)
+            out = []
+            for e in combinations(range(n), k):
+                hits = sum(1 for v in e if v in wset)
+                if 1 <= hits <= s:
+                    out.append(e)
+            return out
+
+        rng = CounterRng(5)
+        for n in range(13):
+            for k in range(1, 6):
+                # Empty, a prefix, clique-minus's top vertices, seeded subsets.
+                covers = [(), range(n // 2), range(n - n // k + 1, n)]
+                covers += (rng.sample(range(n), size, n, k, size) for size in {1, n // 3, n - 1} if 0 <= size <= n)
+                for W in covers:
+                    for s in range(1, k + 1):
+                        assert constructions.barrier_edges(n, k, s, W) == reference(n, k, s, W), (n, k, s, W)
+
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
             build_space_barrier(5, 3, 0, 2)
@@ -189,17 +210,21 @@ def small_sweep(k, l, p, seed):
     return threshold_sweep(k, l, k + 2, k + 5, m_list=[1, 2, 3, 4], search_trials=3, search_p=p, seed=seed)
 
 
+def search_seeds(row, seed):
+    """The seeds of the row's search hosts, as threshold_sweep derives them."""
+    rng = CounterRng(seed)
+    return [rng.raw(TAG_SET_SAMPLE, row["n"], row["m"], t) for t in range(row["search_trials"])]
+
+
 def search_hosts(row, k, p, seed):
     """The row's seeded search hosts, drawn as threshold_sweep draws them."""
-    n, m = row["n"], row["m"]
-    rng = CounterRng(seed)
-    return [random_hypergraph(n, k, p, rng.raw(TAG_SET_SAMPLE, n, m, t)) for t in range(row["search_trials"])]
+    return [random_hypergraph(row["n"], k, p, host_seed) for host_seed in search_seeds(row, seed)]
 
 
 class TestSweepSearch:
     """The search counts hosts with min l-degree above the threshold and
     nu <= m; m + 1 disjoint first-fit edges rule a host out before either
-    is computed."""
+    is computed, and before the host is built."""
 
     def test_counts_equal_the_full_predicate(self):
         found = 0
@@ -215,7 +240,8 @@ class TestSweepSearch:
         assert found > 0
 
     def test_exact_kernels_run_only_where_first_fit_falls_short(self, monkeypatch):
-        seen = {"min_l_degree": [], "max_matching": []}
+        # The host itself is drawn only there too.
+        seen = {"min_l_degree": [], "max_matching": [], "random_hypergraph": []}
 
         def recorded(name, kernel):
             def call(H, *args):
@@ -223,19 +249,25 @@ class TestSweepSearch:
                 return kernel(H, *args)
             return call
 
+        def drawn(*args):
+            seen["random_hypergraph"].append(args)
+            return random_hypergraph(*args)
+
         monkeypatch.setattr(constructions, "min_l_degree", recorded("min_l_degree", min_l_degree))
         monkeypatch.setattr(constructions, "max_matching", recorded("max_matching", max_matching))
-        expected = {"min_l_degree": [], "max_matching": []}
+        monkeypatch.setattr(constructions, "random_hypergraph", drawn)
+        expected = {"min_l_degree": [], "max_matching": [], "random_hypergraph": []}
         hosts = short = 0
         for k, l, p, seed in SWEEP_CASES:
             for row in small_sweep(k, l, p, seed)["rows"]:
                 barrier = build_space_barrier(row["n"], k, k, row["m"]).edges
                 expected["min_l_degree"].append(barrier)
                 expected["max_matching"].append(barrier)
-                for H in search_hosts(row, k, p, seed):
+                for host_seed, H in zip(search_seeds(row, seed), search_hosts(row, k, p, seed)):
                     hosts += 1
                     if len(greedy_matching(H)) <= row["m"]:
                         short += 1
+                        expected["random_hypergraph"].append((row["n"], k, p, host_seed))
                         expected["min_l_degree"].append(H.edges)
                         if min_l_degree(H, l) > row["threshold"]:
                             expected["max_matching"].append(H.edges)

@@ -18,6 +18,7 @@ from hypermatch import (
     berge_deficiency,
     build_parity,
     build_space_barrier,
+    closest_partition,
     complete_hypergraph,
     independence_number,
     max_matching,
@@ -25,7 +26,8 @@ from hypermatch import (
     threshold_sweep,
 )
 from hypermatch.absorbing import _matching_in
-from hypermatch.core import induced
+from hypermatch.closeness import CLOSEST_MAX_N
+from hypermatch.core import induced, weakest_set
 from hypermatch.exact import greedy_matching
 from hypermatch.fractional import _simplex_optimum
 from hypermatch.pipeline import round1_sample
@@ -37,17 +39,20 @@ from conftest import least_budget, padded_host, pipeline_host
 PINNED = json.loads(Path(__file__).with_name("kernel_digests.json").read_text())
 
 
-def matcher_hosts():
+@cache
+def matcher_hosts() -> list:
     """400 random 2- to 5-graphs, then complete, space-barrier, parity and
     stable hosts."""
+    hosts = []
     for i in range(400):
         k = 2 + i % 4
-        yield random_hypergraph(k + i % (14 - k), k, Fraction(1 + i % 9, 10), i)
+        hosts.append(random_hypergraph(k + i % (14 - k), k, Fraction(1 + i % 9, 10), i))
     for k in (2, 3, 4):
-        yield from (complete_hypergraph(n, k) for n in range(k, 12))
-        yield from (build_space_barrier(11, k, s, m) for s in range(1, k + 1) for m in range(1, 6))
-    yield from (build_parity(na, nb, k) for k in (2, 3) for na in range(1, 7) for nb in (5, 6))
-    yield from (random_stable_hypergraph(n, k, seed) for k in (2, 3, 4) for n in (9, 12) for seed in range(5))
+        hosts += (complete_hypergraph(n, k) for n in range(k, 12))
+        hosts += (build_space_barrier(11, k, s, m) for s in range(1, k + 1) for m in range(1, 6))
+    hosts += (build_parity(na, nb, k) for k in (2, 3) for na in range(1, 7) for nb in (5, 6))
+    hosts += (random_stable_hypergraph(n, k, seed) for k in (2, 3, 4) for n in (9, 12) for seed in range(5))
+    return hosts
 
 
 def family_hosts():
@@ -61,7 +66,7 @@ def family_hosts():
 
 
 def matcher_lines(monkeypatch):
-    hosts = list(matcher_hosts())
+    hosts = matcher_hosts()
     for i, H in enumerate(hosts):
         yield repr((H.n, H.k, H.edges, max_matching(H)))
         rng = CounterRng(i)
@@ -167,3 +172,32 @@ def test_berge_outputs_match_the_pinned_digest():
     # certificate, so the bound is pinned beside it.
     lines = (repr((G.n, G.edges, greedy_matching(G), berge_deficiency(G))) for G in berge_hosts())
     assert digest(lines) == PINNED["berge"]
+
+
+def test_weakest_set_outputs_match_the_pinned_digest():
+    # Every l from 0 to k on the matcher corpus, whose dense hosts take the
+    # missing-k-set route and whose sparse ones the edge route.
+    lines = (repr((H.n, H.k, H.edges, [weakest_set(H, l) for l in range(H.k + 1)])) for H in matcher_hosts())
+    assert digest(lines) == PINNED["weakest_set"]
+
+
+def closest_cases():
+    """(H, m, s, seed) for closest_partition: random 2- to 4-graphs on at
+    most 10 vertices, scanned exhaustively, with every s and m cycling
+    through 0..n; then space barriers and random graphs one vertex past
+    CLOSEST_MAX_N, where the seeded swap search runs and can stop short of
+    the least deficit."""
+    for i in range(48):
+        k = 2 + i % 3
+        H = random_hypergraph(k + 2 + i % 5, k, Fraction(1 + i % 9, 10), 700 + i)
+        yield from ((H, (i + s) % (H.n + 1), s, i) for s in range(1, k + 1))
+    n = CLOSEST_MAX_N + 1
+    for k in (2, 3):
+        for s in range(1, k + 1):
+            yield build_space_barrier(n, k, s, 4), 4, s, s
+            yield random_hypergraph(n, k, Fraction(1, 4), 40 + s), 3, s, s
+
+
+def test_closest_partition_outputs_match_the_pinned_digest():
+    lines = (repr((H.n, H.edges, m, s, seed, closest_partition(H, m, s, seed))) for H, m, s, seed in closest_cases())
+    assert digest(lines) == PINNED["closest_partition"]

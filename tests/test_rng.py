@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import comb
 
 import pytest
@@ -15,7 +15,9 @@ from hypermatch import (
     sample_absorbing_family,
     threshold_sweep,
 )
+import hypermatch.rng as rng_module
 from hypermatch.closeness import f_density_check
+from hypermatch.exact import greedy_matching
 from hypermatch.pipeline import round1_sample
 from hypermatch.stability import katona_suite, random_stable_hypergraph
 from hypermatch.rng import (
@@ -23,6 +25,8 @@ from hypermatch.rng import (
     TAG_ROUND1,
     TAG_TRIM,
     CounterRng,
+    _combination_rank,
+    _random_first_fit,
     bernoulli_subsets,
     combination_unrank,
     random_hypergraph,
@@ -195,6 +199,66 @@ def test_random_hypergraph_is_reproducible():
     c = random_hypergraph(8, 3, Fraction(1, 2), 124)
     assert a == b
     assert a != c  # overwhelmingly likely and frozen by the seed pair
+
+
+# ------------------------------------------- first-fit edges drawn without the host
+
+
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(3, 4), Fraction(1), 0.3])
+def test_random_first_fit_is_greedy_matching_of_the_host(p):
+    # k > n and n = 0 give no k-set; p = 0 scans every k-set and keeps none.
+    for n in range(14):
+        for k in range(1, 6):
+            for seed in range(8):
+                expected = greedy_matching(random_hypergraph(n, k, p, seed))
+                assert tuple(_random_first_fit(n, k, p, seed)) == expected, (n, k, p, seed)
+
+
+@pytest.mark.parametrize(
+    "n, k, p, seed",
+    [
+        (5, 0, Fraction(1, 2), 3),
+        (5, 2, Fraction(-1), 3),
+        (5, 2, Fraction(3, 2), 3),
+        (5, 2, Fraction(1, 2), 2.5),
+        (-1, 2, Fraction(1, 2), 3),
+        (True, 2, Fraction(1, 2), 3),
+        # Two bad arguments: the one random_hypergraph checks first is named.
+        (-1, 0, Fraction(3, 2), 2.5),
+        (-1, 2, Fraction(3, 2), 2.5),
+        (-1, 2, Fraction(1, 2), 2.5),
+    ],
+)
+def test_random_first_fit_refuses_what_random_hypergraph_refuses(n, k, p, seed):
+    with pytest.raises(DomainError) as expected:
+        random_hypergraph(n, k, p, seed)
+    with pytest.raises(DomainError) as got:
+        list(_random_first_fit(n, k, p, seed))
+    assert type(got.value) is type(expected.value) and str(got.value) == str(expected.value)
+
+
+def test_combination_rank_inverts_unrank():
+    for n in range(11):
+        for k in range(n + 1):
+            assert [_combination_rank(n, k, combination_unrank(n, k, r)) for r in range(comb(n, k))] == list(
+                range(comb(n, k))
+            )
+
+
+def test_random_first_fit_draws_one_flag_per_inspected_k_set(monkeypatch):
+    # At p = 1 every k-set is kept, so each edge is the first k-set inspected
+    # after the last one: one mixer step per edge, after the seed's and the
+    # tag's. The host has C(60, 3) = 34,220 k-sets.
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return splitmix64(x)
+
+    monkeypatch.setattr(rng_module, "splitmix64", counted)
+    edges = [tuple(range(3 * j, 3 * j + 3)) for j in range(5)]
+    assert list(islice(_random_first_fit(60, 3, Fraction(1), 7), 5)) == edges
+    assert len(calls) <= 7
 
 
 # ------------------------------------------- the block kernel against scalar draws
