@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import ceil, factorial
 
 from .constructions import space_barrier_edge_count
-from .core import Hypergraph, _mask, vertex_subset
+from .core import Hypergraph, _mask, check_positive, edges_within, vertex_subset
 from .errors import DomainError
 from .rng import TAG_SEARCH, TAG_SET_SAMPLE, CounterRng
 
@@ -78,9 +78,7 @@ def classify_good(H: Hypergraph, m: int, s: int, W, alpha: Fraction) -> Goodness
     Also evaluates the counting bound: the number of bad vertices is at most
     k * eps * n / alpha for eps the effective closeness of H to the barrier.
     """
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise DomainError("alpha must be a positive rational")
+    alpha = check_positive("alpha", alpha)
     report = barrier_deficit(H, m, s, W)
     cut = alpha * H.n ** (H.k - 1)
     good, bad = [], []
@@ -155,12 +153,7 @@ def closest_partition(
     return best_w, best_d
 
 
-def f_density_check(
-    H: Hypergraph,
-    eps: Fraction,
-    force: bool = False,
-    seed: int = 0,
-) -> tuple:
+def f_density_check(H: Hypergraph, eps: Fraction, force: bool = False, seed: int = 0) -> tuple:
     """Whether every large vertex set keeps a proportional share of the edges.
 
     Large means |A| >= (1 - 1/k - eps/4) * n and the required share is
@@ -168,30 +161,21 @@ def f_density_check(
     the exhaustive scan checks just the smallest qualifying size; it returns
     (dense, witness) with a violating A as witness when one exists. Unless
     exhaustive(n, force), a seeded sample of candidate sets is scanned instead,
-    so a dense verdict is then no certificate.
+    so a dense verdict is then no certificate. H[A]'s edges come lazily from
+    core.edges_within, and A passes at the ceil(share)-th one.
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise DomainError("eps must be a positive rational")
+    eps = check_positive("eps", eps)
     rng = CounterRng(seed)  # before the scan too, so a bad seed is refused on either route
     n, k = H.n, H.k
-    floor_frac = (1 - Fraction(1, k) - eps / 4) * n
-    size = max(0, ceil(floor_frac))
-    need = eps * H.num_edges / (2 * factorial(k))
-    masks = list(map(_mask, H.edges))
-
-    def induced_count(am: int) -> int:
-        return sum(1 for em in masks if em & am == em)
-
+    size = max(0, ceil((1 - Fraction(1, k) - eps / 4) * n))
+    need = ceil(eps * H.num_edges / (2 * factorial(k)))  # a count is below the share iff below its ceiling
     if exhaustive(n, force):
-        for a in combinations(range(n), size):
-            if induced_count(_mask(a)) < need:
-                return False, a
-        return True, None
-
-    universe = list(range(n))
-    for t in range(DENSITY_TRIALS):
-        a = tuple(sorted(rng.sample(universe, size, TAG_SET_SAMPLE, t)))
-        if induced_count(_mask(a)) < need:
+        candidates = combinations(range(n), size)
+    else:
+        universe = list(range(n))
+        candidates = (tuple(sorted(rng.sample(universe, size, TAG_SET_SAMPLE, t)))
+                      for t in range(DENSITY_TRIALS))
+    for a in candidates:
+        if need and next(islice(edges_within(H, a), need - 1, None), None) is None:
             return False, a
     return True, None

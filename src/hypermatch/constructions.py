@@ -14,7 +14,7 @@ from itertools import combinations, filterfalse, islice
 from math import ceil, comb, floor
 
 from .absorbing import default_parameters
-from .core import Hypergraph, check_counts, check_enumeration, min_l_degree, vertex_subset
+from .core import Hypergraph, check_counts, check_enumeration, check_probability, min_l_degree, vertex_subset
 from .errors import DomainError
 from .exact import max_matching
 from .rng import TAG_SET_SAMPLE, CounterRng, _random_first_fit, random_hypergraph
@@ -98,8 +98,7 @@ def threshold_sweep(k: int, l: int, n_start: int, n_end: int, mu=Fraction(1, 4),
         raise DomainError(f"need 0 < l < k, got k={k}, l={l}")
     if search_trials < 0:
         raise DomainError(f"--search-trials must be non-negative, got {search_trials}")
-    if not 0 <= search_p <= 1:
-        raise DomainError(f"--search-p must lie in [0, 1], got {search_p}")
+    search_p = check_probability("--search-p", search_p)
     theorem_m_range(n_end, k, l, mu)  # refuses mu <= 0 even when no row follows
     if n_start <= n_end:
         check_enumeration(n_end, k)  # the largest row's barrier, before the first row

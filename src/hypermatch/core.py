@@ -28,9 +28,15 @@ edges). `tests/test_source_rules.py` rejects a call from anywhere else.
 The edges of H[X] are found on one of two routes, and `_looks_up` alone picks
 it: when C(|X|, k) < e(H) each k-subset of X is looked up in the edge set,
 otherwise one scan of the edges keeps those inside X. The cost is the smaller
-count either way. Only `induced` and `edges_within` ask the rule: exact's
-matching search on a vertex subset and the absorber probes take H[X]'s
-edges from `edges_within`.
+count either way. Only `induced` and `edges_within` ask the rule, and every
+other count of H[X] takes its edges from `edges_within`: exact's matching
+search on a vertex subset, the absorber probes, closeness's density check
+and round one's degree probes.
+
+The argument rules that several modules share live here too: `check_counts`
+(an int), `check_positive` (eps, xi, alpha, rho) and `check_probability` (p,
+`--search-p`), each with one DomainError message, also for a value that
+Fraction() cannot read.
 
 The minimum l-degree also pays for the smaller count: it splits each edge into
 its l-sets, or, when more than half the k-sets are edges, each missing k-set.
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from fractions import Fraction
 from itertools import chain, combinations, filterfalse, repeat
 from math import comb
 from operator import lt
@@ -74,6 +81,29 @@ def check_counts(**counts) -> None:
     for name, value in counts.items():
         if type(value) is not int:
             raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def _rational(value) -> Fraction | None:
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):  # None, 'x', nan, inf, '1/0'
+        return None
+
+
+def check_positive(name: str, value) -> Fraction:
+    """value as a Fraction; DomainError unless Fraction() reads it as positive."""
+    q = _rational(value)
+    if q is None or q <= 0:
+        raise DomainError(f"{name} must be a positive rational")
+    return q
+
+
+def check_probability(name: str, value) -> Fraction:
+    """value as a Fraction; DomainError unless Fraction() reads it into [0, 1]."""
+    q = _rational(value)
+    if q is None or not 0 <= q <= 1:
+        raise DomainError(f"{name} must lie in [0, 1], got {repr(value) if q is None else q}")
+    return q
 
 
 def _check_mask_bits(last_vertices: Iterable[int]) -> None:

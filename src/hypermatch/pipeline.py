@@ -38,7 +38,7 @@ from itertools import combinations, compress, product
 
 from . import core
 from .constructions import comb0
-from .core import Hypergraph, _mask, check_counts, induced, vertex_subset
+from .core import Hypergraph, _mask, check_counts, check_positive, check_probability, induced, vertex_subset
 from .errors import CertificationError, DomainError, PipelineError, SizeLimitError
 from .exact import independence_number
 from .fractional import fractional_optimum
@@ -65,19 +65,14 @@ class RoundOneSample:
         return out
 
     def deg(self, H: Hypergraph, i: int, D) -> int:
-        """Edges through D whose remaining vertices all lie in copy i."""
-        d = set(D)
-        inside = set(self.copies[i])
-        return sum(
-            1 for e in H.edges if d.issubset(e) and all(v in inside for v in e if v not in d)
-        )
+        """Edges through D whose other vertices lie in copy i: those inside D u copy i."""
+        d = frozenset(D)
+        return sum(map(d.issubset, core.edges_within(H, sorted(d.union(self.copies[i])))))
 
 
 def _round1_domain(copies: int, p: Fraction) -> Fraction:
     """Round one's flag checks; returns p as a Fraction."""
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise DomainError(f"p must lie in [0, 1], got {p}")
+    p = check_probability("p", p)
     check_counts(copies=copies)
     if copies < 1:
         raise DomainError("need at least one copy")
@@ -130,9 +125,7 @@ def check_round1_properties(
     SizeLimitError before counting any, unless force. The degree slack xi
     must be positive.
     """
-    xi = Fraction(xi)
-    if xi <= 0:
-        raise DomainError("xi must be a positive rational")
+    xi = check_positive("xi", xi)
     for D in deg_probes:
         if len(vertex_subset(H.n, D)) > H.k:
             raise DomainError(f"probe set larger than uniformity: |D|={len(D)} > k={H.k}")
@@ -283,10 +276,7 @@ class PipelineResult:
 
 def _gate_cut(k: int, eps: Fraction) -> Fraction:
     """The independence gate's bound on alpha(H[R]) / |R|, 1 - 1/k - eps/5, for eps > 0."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise DomainError("eps must be a positive rational")
-    return 1 - Fraction(1, k) - eps / 5
+    return 1 - Fraction(1, k) - check_positive("eps", eps) / 5
 
 
 def certify_copies(H: Hypergraph, sample: RoundOneSample, eps: Fraction) -> tuple:

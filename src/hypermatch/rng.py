@@ -24,7 +24,7 @@ from functools import cache
 from itertools import chain, combinations, compress
 from math import comb
 
-from .core import Hypergraph, _check_shape, check_counts
+from .core import Hypergraph, _check_shape, check_counts, check_probability
 from .errors import DomainError
 
 _MASK64 = (1 << 64) - 1
@@ -176,10 +176,7 @@ def _edge_sample_args(k: int, p, seed: int) -> tuple:
     """(Fraction(p), CounterRng(seed)) once k, p and seed pass, in that order."""
     if k < 1:
         raise DomainError(f"need k >= 1, got k={k}")
-    p = Fraction(p)  # read as pipeline._round1_domain reads it: a float is its exact binary value
-    if not 0 <= p <= 1:
-        raise DomainError(f"p must lie in [0, 1], got {p}")
-    return p, CounterRng(seed)
+    return check_probability("p", p), CounterRng(seed)
 
 
 def random_hypergraph(n: int, k: int, p: Fraction, seed: int) -> Hypergraph:

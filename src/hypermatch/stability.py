@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .closeness import barrier_deficit
 from .constructions import space_barrier_edge_count
-from .core import Hypergraph, _check_shape, check_counts, check_enumeration
+from .core import Hypergraph, _check_shape, check_counts, check_enumeration, check_positive
 from .errors import CertificationError, DomainError
 from .exact import max_matching
 from .rng import TAG_CLOSURE, TAG_SET_SAMPLE, CounterRng, combination_unrank, random_hypergraph
@@ -103,9 +103,8 @@ def stability_closeness_check(H: Hypergraph, m: int, xi: Fraction) -> StabilityC
     when k = 2. Comparisons against the square roots are done on squares, so
     everything stays rational.
     """
-    xi = Fraction(xi)
-    if xi <= 0:
-        raise DomainError("xi must be a positive rational")
+    xi = check_positive("xi", xi)
+    check_counts(m=m)
     stab = is_stable(H)
     if not stab.stable:
         raise DomainError(f"hypothesis failed: H is not stable, witness {stab.witness}")
@@ -223,8 +222,7 @@ def frankl_suite(trials: int, seed: int = 0, **_) -> dict:
 def stability2_suite(trials: int, seed: int = 0, n: int = 10, rho=Fraction(1, 100)) -> dict:
     """stability_closeness_check at xi = rho on seeded random stable graphs; skips only nu > m."""
     ts = _trials(trials)  # checked first, as in every suite
-    if rho <= 0:
-        raise DomainError("rho must be a positive rational")
+    rho = check_positive("rho", rho)
     if n < 3:
         raise DomainError(f"stability2 needs n >= 3 (the barrier set has m >= 3), got n={n}")
     rng = CounterRng(seed)

@@ -15,17 +15,21 @@ from hypermatch import (
     degree,
     from_json,
     almost_perfect_pipeline,
+    check_round1_properties,
+    classify_good,
+    f_density_check,
     induced,
     min_l_degree,
     remove,
     round1_sample,
     sample_absorbing_family,
+    threshold_sweep,
     to_json,
 )
 from hypermatch import core
 from hypermatch.core import _looks_up, weakest_set
 from hypermatch.rng import CounterRng, random_hypergraph
-from hypermatch.stability import frankl_suite, katona_suite, stability2_suite
+from hypermatch.stability import frankl_suite, katona_suite, stability2_suite, stability_closeness_check
 
 seeds = st.integers(0, 10**9)
 
@@ -208,11 +212,12 @@ K9 = complete_hypergraph(9, 3)
         (lambda: weakest_set(K9, 2.0), "l", 2.0),
         (lambda: min_l_degree(K9, 2.0), "l", 2.0),
         (lambda: min_l_degree(K9, True), "l", True),
+        (lambda: stability_closeness_check(complete_hypergraph(8, 2), 5.5, Fraction(1, 100)), "m", 5.5),
     ],
     ids=["probes-float", "probes-bool", "katona-trials-float", "frankl-trials-str",
          "stability2-trials-float", "round1-copies-float", "round1-copies-bool",
          "edgeless-pipeline-copies-float", "weakest-set-l-float", "min-l-degree-float",
-         "min-l-degree-bool"],
+         "min-l-degree-bool", "stability-closeness-m-float"],
 )
 def test_a_count_that_is_not_an_int_is_refused(call, name, value):
     # core.check_counts' rule: a float, a bool or a str is never a count. Each
@@ -220,6 +225,55 @@ def test_a_count_that_is_not_an_int_is_refused(call, name, value):
     with pytest.raises(DomainError) as caught:
         call()
     assert str(caught.value) == f"{name} must be an integer, got {value!r}"
+
+
+# Each entry point of core.check_positive and core.check_probability: the
+# checked name, the rule, and a call that puts a value where the rule applies.
+RATIONAL_RULES = {
+    "pipeline-eps": ("eps", "positive", lambda v: almost_perfect_pipeline(K9, 2, Fraction(1, 2), 0, v)),
+    "round1-xi": ("xi", "positive",
+                  lambda v: check_round1_properties(round1_sample(K9, 2, Fraction(1, 2), 0), K9, (), v)),
+    "classify-good-alpha": ("alpha", "positive", lambda v: classify_good(K9, 3, 3, range(3), v)),
+    "fdense-eps": ("eps", "positive", lambda v: f_density_check(K9, v)),
+    "stability-closeness-xi": ("xi", "positive", lambda v: stability_closeness_check(complete_hypergraph(6, 2), 3, v)),
+    "stability2-rho": ("rho", "positive", lambda v: stability2_suite(1, rho=v)),
+    "pipeline-p": ("p", "probability", lambda v: almost_perfect_pipeline(K9, 2, v, 1)),
+    "random-hypergraph-p": ("p", "probability", lambda v: random_hypergraph(6, 3, v, 0)),
+    "sweep-search-p": ("--search-p", "probability", lambda v: threshold_sweep(3, 2, 6, 6, search_p=v)),
+}
+
+
+@pytest.mark.parametrize("value", [None, "x", float("nan"), float("inf"), "1/0"], ids=repr)
+@pytest.mark.parametrize("entry", RATIONAL_RULES)
+def test_a_value_that_is_not_a_rational_is_refused(entry, value):
+    # Fraction() cannot read any of these. Some once raised a raw TypeError,
+    # ValueError, OverflowError or ZeroDivisionError.
+    name, rule, call = RATIONAL_RULES[entry]
+    with pytest.raises(DomainError) as caught:
+        call(value)
+    if rule == "positive":
+        assert str(caught.value) == f"{name} must be a positive rational"
+    else:
+        assert str(caught.value) == f"{name} must lie in [0, 1], got {value!r}"
+
+
+@pytest.mark.parametrize("value, positive, probability", [
+    (Fraction(1, 3), True, True), ("1/3", True, True), (0.5, True, True), (1, True, True),
+    (0, False, True), (Fraction(3, 2), True, False), ("-1/4", False, False),
+], ids=["fraction", "str", "float", "int", "zero", "three-halves", "negative-str"])
+def test_the_rational_checks_read_what_fraction_reads(value, positive, probability):
+    # Each check returns the value as a Fraction (a float as its exact binary
+    # value) or refuses it with the rule's message, which echoes a
+    # probability as the Fraction it was read as.
+    for check, ok, message in ((core.check_positive, positive, "v must be a positive rational"),
+                               (core.check_probability, probability, f"v must lie in [0, 1], got {Fraction(value)}")):
+        if ok:
+            result = check("v", value)
+            assert type(result) is Fraction and result == Fraction(value)
+        else:
+            with pytest.raises(DomainError) as caught:
+                check("v", value)
+            assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("looks_up", [True, False], ids=["lookup", "scan"])

@@ -9,6 +9,8 @@ import hashlib
 import json
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
+from math import ceil, factorial
 from pathlib import Path
 
 import pytest
@@ -18,20 +20,22 @@ from hypermatch import (
     berge_deficiency,
     build_parity,
     build_space_barrier,
+    check_round1_properties,
     closest_partition,
     complete_hypergraph,
+    f_density_check,
     independence_number,
     max_matching,
     sample_absorbing_family,
     threshold_sweep,
 )
 from hypermatch.absorbing import _matching_in
-from hypermatch.closeness import CLOSEST_MAX_N
-from hypermatch.core import induced, weakest_set
+from hypermatch.closeness import CLOSEST_MAX_N, DENSITY_TRIALS, exhaustive
+from hypermatch.core import _looks_up, induced, weakest_set
 from hypermatch.exact import greedy_matching
 from hypermatch.fractional import _simplex_optimum
 from hypermatch.pipeline import round1_sample
-from hypermatch.rng import CounterRng, random_hypergraph
+from hypermatch.rng import TAG_SET_SAMPLE, CounterRng, random_hypergraph
 from hypermatch.stability import random_stable_hypergraph
 
 from conftest import least_budget, padded_host, pipeline_host
@@ -65,14 +69,20 @@ def family_hosts():
         yield params, build_parity(6, 6, k)
 
 
-def matcher_lines(monkeypatch):
-    hosts = matcher_hosts()
+def search_lines(hosts):
+    """max_matching on each host, then _matching_in on a seeded vertex subset
+    of every size with t = 1..3."""
     for i, H in enumerate(hosts):
         yield repr((H.n, H.k, H.edges, max_matching(H)))
         rng = CounterRng(i)
         for size in range(H.n + 1):
             X = rng.sample(list(range(H.n)), size, size)
             yield repr((X, [_matching_in(H, X, t) for t in (1, 2, 3)]))
+
+
+def matcher_lines(monkeypatch):
+    hosts = matcher_hosts()
+    yield from search_lines(hosts)
     for seed, (params, H) in enumerate(family_hosts()):
         fam = sample_absorbing_family(H, params, Fraction(1, 3), seed, probes=40)
         yield repr((params, H.edges, fam.members, fam.member_matchings, fam.diagnostics))
@@ -93,6 +103,14 @@ def test_matcher_outputs_match_the_pinned_digest(monkeypatch):
     # size, absorbing families with their probe diagnostics, and the least
     # budget of 60 full-host searches, read-back charges included.
     assert digest(matcher_lines(monkeypatch)) == PINNED["matcher"]
+
+
+def test_padded_matcher_outputs_match_the_pinned_digest(monkeypatch):
+    # The padded hosts, whose isolated vertices the search cuts above the
+    # largest vertex an edge reaches: witnesses, subsets and least budgets.
+    hosts = [padded_host(i) for i in range(100)]
+    budgets = (repr((H.n, H.edges, least_budget(H, monkeypatch))) for H in hosts)
+    assert digest([*search_lines(hosts), *budgets]) == PINNED["matcher_padded"]
 
 
 @cache
@@ -201,3 +219,100 @@ def closest_cases():
 def test_closest_partition_outputs_match_the_pinned_digest():
     lines = (repr((H.n, H.edges, m, s, seed, closest_partition(H, m, s, seed))) for H, m, s, seed in closest_cases())
     assert digest(lines) == PINNED["closest_partition"]
+
+
+def fdense_cases():
+    """(H, eps, force, seed) for f_density_check: random 2- to 4-graphs and
+    single-hit barriers with n <= 11, scanned exhaustively, then hosts one
+    and two vertices past CLOSEST_MAX_N, where DENSITY_TRIALS seeded sets
+    are sampled. Dense and sparse hosts put H[A] on both of _looks_up's
+    routes, and some hosts are dense while others yield a witness."""
+    epsilons = (Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(3))
+    for i in range(36):
+        k = 2 + i % 3
+        H = random_hypergraph(k + 3 + i % (9 - k), k, Fraction(1 + i % 9, 10), 900 + i)
+        yield H, epsilons[i % 4], False, i
+    for k in (2, 3):
+        yield build_space_barrier(9, k, 1, 3), Fraction(1, 2), False, k
+    n = CLOSEST_MAX_N + 1
+    yield complete_hypergraph(n, 3), Fraction(1, 2), False, 1
+    yield random_hypergraph(n, 3, Fraction(1, 10), 2), Fraction(1, 2), False, 2
+    yield random_hypergraph(n + 1, 2, Fraction(1, 2), 3), Fraction(1, 10), False, 3
+    yield build_space_barrier(n, 2, 1, 5), Fraction(1), False, 4
+
+
+def density_size_and_need(H, eps):
+    return max(0, ceil((1 - Fraction(1, H.k) - eps / 4) * H.n)), eps * H.num_edges / (2 * factorial(H.k))
+
+
+def brute_induced_count(H, A):
+    a = set(A)
+    return sum(1 for e in H.edges if set(e) <= a)
+
+
+def test_fdense_outputs_match_the_pinned_digest():
+    # Every verdict and witness, on both routes and both route rules.
+    routes, lines = set(), []
+    for H, eps, force, seed in fdense_cases():
+        size, _ = density_size_and_need(H, eps)
+        routes.add((exhaustive(H.n, force), _looks_up(H, size)))
+        lines.append(repr((H.n, H.k, H.edges, eps, force, seed, f_density_check(H, eps, force, seed))))
+    assert routes == {(True, True), (True, False), (False, True), (False, False)}
+    assert digest(lines) == PINNED["fdense"]
+
+
+def test_fdense_matches_brute_force():
+    # The exhaustive scan is the first size-|A| set, in lex order, whose
+    # brute-force edge count falls short; the sampled one is the first short
+    # set among the seeded draws.
+    verdicts = set()
+    for H, eps, force, seed in fdense_cases():
+        size, need = density_size_and_need(H, eps)
+        if exhaustive(H.n, force):
+            candidates = combinations(range(H.n), size)
+        else:
+            rng = CounterRng(seed)
+            candidates = (tuple(sorted(rng.sample(list(range(H.n)), size, TAG_SET_SAMPLE, t)))
+                          for t in range(DENSITY_TRIALS))
+        witness = next((A for A in candidates if brute_induced_count(H, A) < need), None)
+        assert f_density_check(H, eps, force, seed) == (witness is None, witness)
+        verdicts.add(witness is None)
+    assert verdicts == {True, False}
+
+
+def round1_property_cases():
+    """(sample, H, probes, xi): 4 copies at p = 1/2 or 3/4 of sparse random
+    2- to 4-graphs on 9 to 16 vertices, and of one dense host, probed at the
+    empty set, single vertices, pairs and an edge; each copy leaves some
+    probed vertices out."""
+    hosts = [random_hypergraph(9 + i % 8, 2 + i % 3, Fraction(1 + i % 3, 10), 1200 + i) for i in range(18)]
+    hosts.append(random_hypergraph(12, 3, Fraction(9, 10), 1218))
+    for i, H in enumerate(hosts):
+        sample = round1_sample(H, 4, Fraction(2 + i % 2, 4), i)
+        probes = [(), (0,), (H.n - 1,), (1, H.n - 2), (i % H.n, (i + 3) % H.n)]
+        probes += H.edges[:1]
+        yield sample, H, probes, Fraction(1, 10 ** (i % 3))
+
+
+def test_round1_property_outputs_match_the_pinned_digest():
+    # Each report, and deg itself at every (probe, copy) pair, since a report
+    # lists only the failing pairs.
+    lines = (
+        repr((H.n, H.edges, s.copies, probes, xi, check_round1_properties(s, H, probes, xi),
+              [s.deg(H, i, D) for D in probes for i in range(len(s.copies))]))
+        for s, H, probes, xi in round1_property_cases()
+    )
+    assert digest(lines) == PINNED["round1_properties"]
+
+
+def test_round1_deg_matches_its_definition():
+    # deg(H, i, D) counts the edges that contain D and whose other vertices
+    # all lie in copy i; some probes meet vertices outside the copy.
+    outside = 0
+    for sample, H, probes, _ in round1_property_cases():
+        for D in probes:
+            for i, copy in enumerate(sample.copies):
+                d = set(D)
+                outside += not d <= set(copy)
+                assert sample.deg(H, i, D) == sum(1 for e in H.edges if d <= set(e) and set(e) - d <= set(copy))
+    assert outside

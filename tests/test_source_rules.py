@@ -8,6 +8,8 @@
   place, and the library never touches it.
 - Hypergraph._canonical is called only by the generators of canonical edges,
   so outside input is always validated.
+- core._looks_up, the route rule for H[X], is named only in core.py: every
+  other module counts H[X] through core.edges_within or core.induced.
 
 Each file under src/ is parsed once. A rule takes (path, tree) and returns its
 violations as "path:line: detail" lines, so each rule is also run on a planted
@@ -98,7 +100,22 @@ def unlisted_canonical_calls(path, tree) -> list:
     ]
 
 
-RULES = [asserts, non_stdlib_imports, rng_imports_in_cli, gc_imports_outside_cli, unlisted_canonical_calls]
+def looks_up_outside_core(path, tree) -> list:
+    """Each use, import or definition of the name _looks_up outside core.py."""
+    if path.name == "core.py":
+        return []
+    fields = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name", ast.FunctionDef: "name"}
+    return [
+        f"{path}:{node.lineno}"
+        for node in ast.walk(tree)
+        if getattr(node, fields.get(type(node), ""), None) == "_looks_up"
+    ]
+
+
+RULES = [
+    asserts, non_stdlib_imports, rng_imports_in_cli, gc_imports_outside_cli, unlisted_canonical_calls,
+    looks_up_outside_core,
+]
 
 
 def test_every_package_module_is_parsed():
@@ -112,6 +129,7 @@ def test_source_keeps_the_rule(rule):
 
 
 CLI, CORE = Path("src/hypermatch/cli.py"), Path("src/hypermatch/core.py")
+PIPELINE = Path("src/hypermatch/pipeline.py")
 
 
 @pytest.mark.parametrize(
@@ -130,6 +148,10 @@ CLI, CORE = Path("src/hypermatch/cli.py"), Path("src/hypermatch/core.py")
         (unlisted_canonical_calls, CORE, "def f():\n    return Hypergraph._canonical(1, 1, [])\n",
          ["src/hypermatch/core.py:2: core.f"]),
         (unlisted_canonical_calls, CORE, "H = Hypergraph._canonical(1, 1, [])\n", ["src/hypermatch/core.py:1: None"]),
+        (looks_up_outside_core, PIPELINE, "from .core import induced, _looks_up\n", ["src/hypermatch/pipeline.py:1"]),
+        (looks_up_outside_core, PIPELINE, "x = core._looks_up(H, 3)\n", ["src/hypermatch/pipeline.py:1"]),
+        (looks_up_outside_core, PIPELINE, "f = core.edges_within\ng = _looks_up\n", ["src/hypermatch/pipeline.py:2"]),
+        (looks_up_outside_core, PIPELINE, "def _looks_up(H, size):\n    return True\n", ["src/hypermatch/pipeline.py:1"]),
     ],
 )
 def test_rule_catches_a_planted_violation(rule, path, source, hits):
@@ -143,6 +165,8 @@ def test_rule_catches_a_planted_violation(rule, path, source, hits):
         (rng_imports_in_cli, CLI, "from . import rngx\n"),
         (gc_imports_outside_cli, CLI, "import gc\n"),
         (unlisted_canonical_calls, CORE, "def induced():\n    return Hypergraph._canonical(1, 1, [])\n"),
+        (looks_up_outside_core, CORE, "def _looks_up(H, size):\n    return size < 3\nx = _looks_up(H, 2)\n"),
+        (looks_up_outside_core, PIPELINE, "x = core.edges_within(H, xs)\n"),
     ],
 )
 def test_rule_passes_what_it_allows(rule, path, source):
