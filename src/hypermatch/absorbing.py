@@ -135,8 +135,8 @@ def sample_absorbing_family(
     The sampler enumerates all C(n, a*k) candidates, so it stops with
     SizeLimitError past core.ENUMERATE_MAX_KSETS of them unless force.
     """
-    rho = Fraction(rho)
-    if not 0 < rho < 1:
+    rho = core._rational(rho)
+    if rho is None or not 0 < rho < 1:
         raise DomainError("rho must lie strictly between 0 and 1")
     check_counts(probes=probes)
     if probes < 0:

@@ -1,17 +1,16 @@
-"""Unified command line: one subcommand per operation, machine-readable output.
+"""Unified command line: one subcommand per operation, one JSON line out.
 
-Every run prints a single report object to stdout: the command, its echoed
-parameters (rationals as p/q strings), the seed when one was used, a `claim`
-naming the mathematical property exercised, and the results. Identical
-(command, parameters, seed) produce byte-identical output. Exit codes:
-0 success, 1 domain or precondition error, 2 size-limit error, 3 stuck
-pipeline or absorption.
+Every run prints one JSON object on one line to stdout: the command, its echoed
+parameters (rationals as p/q strings), the seed when one was given, a `claim`
+naming the mathematical property exercised and the results, or else an `error`
+with its type and message. Identical (command, parameters, seed) produce
+byte-identical output. Only a command that draws takes --seed. Exit codes: 0
+success, 1 domain or precondition error, 2 size-limit error, 3 stuck pipeline
+or absorption. Rational-valued flags are parsed as p/q strings; nothing here
+accepts a float. Reports are data: rendering and plotting belong downstream.
 
-Rational-valued flags are parsed as p/q strings; nothing here accepts a
-float. Reports are data: rendering and plotting belong downstream.
-
-Wiring: each subcommand is defined once, in `_SUBCOMMANDS`: its handler,
-whether the handler reads a host from a `file` argument, and what adds its own
+Wiring: each subcommand is defined once, in `_SUBCOMMANDS`: its handler, and
+whether it reads a host from a `file` argument, takes --seed and adds its own
 flags. When the first argument names a subcommand, `main` parses with a tree
 that holds only that subcommand; any other line (no arguments, `-h`, an
 unknown command, an option first) gets the whole tree, so top-level help and
@@ -96,33 +95,8 @@ def _jsonable(value):
     return value
 
 
-def _flatten_pairs(value, path=""):
-    """(path, leaf) pairs of a report, depth first, dict keys sorted. It
-    recurses at module level: a recursive closure would refer to itself, a
-    reference cycle per report."""
-    if isinstance(value, dict) and value:
-        items = ((k, value[k]) for k in sorted(value))
-    elif isinstance(value, list) and value:
-        items = enumerate(value)
-    else:
-        yield path, value
-        return
-    for k, v in items:
-        yield from _flatten_pairs(v, f"{path}.{k}" if path else str(k))
-
-
-def emit(report: dict, fmt: str) -> None:
-    payload = _jsonable(report)
-    if fmt == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
-    else:
-        lines = ["field,value"]
-        for path, value in _flatten_pairs(payload):
-            cell = json.dumps(value) if not isinstance(value, str) else value
-            if "," in cell or '"' in cell:
-                cell = '"' + cell.replace('"', '""') + '"'
-            lines.append(f"{path},{cell}")
-        sys.stdout.write("\n".join(lines) + "\n")
+def emit(report: dict) -> None:
+    sys.stdout.write(json.dumps(_jsonable(report), sort_keys=True, separators=(",", ":")) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -294,8 +268,9 @@ def cmd_sweep(args):
 # ---------------------------------------------------------------- wiring
 
 
-def _common_flags(p) -> None:
-    p.add_argument("--seed", type=int, default=None, help="seed for randomized steps")
+def _common_flags(p, seeded: bool) -> None:
+    if seeded:
+        p.add_argument("--seed", type=int, default=None, help="seed for randomized steps")
     force_help = (
         "lift the berge size guard, the search budget of nu and alpha, the k-set "
         "enumeration guard of construct, stable-complete and absorb's family "
@@ -304,7 +279,6 @@ def _common_flags(p) -> None:
         "k-set count guard; closest and fdense scan every candidate set"
     )
     p.add_argument("--force", action="store_true", help=force_help)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _output_flag(p) -> None:
@@ -397,26 +371,27 @@ def _on_host(handler, args):
 
 
 # Each subcommand, in help order: its handler, whether the handler takes the host
-# read from a `file` argument first, and what adds its own flags, if it has any.
+# read from a `file` argument first, whether it reads --seed, and what adds its
+# own flags, if it has any.
 _SUBCOMMANDS = {
-    "construct": (cmd_construct, False, _construct_flags),
-    "nu": (cmd_nu, True, None),
-    "alpha": (cmd_alpha, True, None),
-    "berge": (cmd_berge, True, None),
-    "degrees": (cmd_degrees, True, _degrees_flags),
-    "fractional": (cmd_fractional, True, None),
-    "stable-complete": (cmd_stable_complete, True, _output_flag),
-    "stable-check": (cmd_stable_check, True, None),
-    "shadow": (cmd_shadow, True, None),
-    "closeness": (cmd_closeness, True, _closeness_flags),
-    "closest": (cmd_closest, True, _barrier_flags),
-    "fdense": (cmd_fdense, True, _fdense_flags),
-    "absorb": (cmd_absorb, True, _absorb_flags),
-    "round1": (cmd_round1, True, _round1_flags),
-    "sparsify": (cmd_sparsify, True, _sparsify_flags),
-    "pipeline": (cmd_pipeline, True, _pipeline_flags),
-    "verify": (cmd_verify, False, _verify_flags),
-    "sweep": (cmd_sweep, False, _sweep_flags),
+    "construct": (cmd_construct, False, False, _construct_flags),
+    "nu": (cmd_nu, True, False, None),
+    "alpha": (cmd_alpha, True, False, None),
+    "berge": (cmd_berge, True, False, None),
+    "degrees": (cmd_degrees, True, False, _degrees_flags),
+    "fractional": (cmd_fractional, True, False, None),
+    "stable-complete": (cmd_stable_complete, True, False, _output_flag),
+    "stable-check": (cmd_stable_check, True, False, None),
+    "shadow": (cmd_shadow, True, False, None),
+    "closeness": (cmd_closeness, True, False, _closeness_flags),
+    "closest": (cmd_closest, True, True, _barrier_flags),
+    "fdense": (cmd_fdense, True, True, _fdense_flags),
+    "absorb": (cmd_absorb, True, True, _absorb_flags),
+    "round1": (cmd_round1, True, True, _round1_flags),
+    "sparsify": (cmd_sparsify, True, True, _sparsify_flags),
+    "pipeline": (cmd_pipeline, True, True, _pipeline_flags),
+    "verify": (cmd_verify, False, True, _verify_flags),
+    "sweep": (cmd_sweep, False, True, _sweep_flags),
 }
 
 
@@ -427,9 +402,9 @@ def build_parser(command: str | None = None) -> _Parser:
     parser = _Parser(prog="hypermatch", description=__doc__ and __doc__.partition("\n\nWiring:")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _SUBCOMMANDS if command is None else (command,):
-        handler, reads_host, add_flags = _SUBCOMMANDS[name]
+        handler, reads_host, seeded, add_flags = _SUBCOMMANDS[name]
         p = sub.add_parser(name)
-        _common_flags(p)
+        _common_flags(p, seeded)
         if reads_host:
             p.add_argument("file")
             p.set_defaults(handler=functools.partial(_on_host, handler))
@@ -442,19 +417,17 @@ def build_parser(command: str | None = None) -> _Parser:
 
 
 def _echo_parameters(args) -> dict:
-    skip = {"handler", "command", "format", "seed"}
+    skip = {"handler", "command", "seed"}
     return {key: value for key, value in sorted(vars(args).items()) if key not in skip and value is not None}
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    fmt = "json"
     collecting = gc.isenabled()
     gc.disable()  # see the wiring note in the module docstring
     try:
         parser = build_parser(argv[0]) if argv and argv[0] in _SUBCOMMANDS else build_parser()
         args = parser.parse_args(argv)
-        fmt = args.format
         claim, results = args.handler(args)
         report = {
             "command": args.command,
@@ -462,12 +435,12 @@ def main(argv=None) -> int:
             "claim": claim,
             "results": results,
         }
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:  # only a command that draws has --seed
             report["seed"] = args.seed
-        emit(report, fmt)
+        emit(report)
         return EXIT_OK
     except (DomainError, SizeLimitError, PipelineError) as exc:
-        emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, fmt)
+        emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         if isinstance(exc, DomainError):
             return EXIT_DOMAIN
         return EXIT_SIZE if isinstance(exc, SizeLimitError) else EXIT_STUCK

@@ -14,7 +14,9 @@ from itertools import combinations, filterfalse, islice
 from math import ceil, comb, floor
 
 from .absorbing import default_parameters
-from .core import Hypergraph, check_counts, check_enumeration, check_probability, min_l_degree, vertex_subset
+from .core import (
+    Hypergraph, _rational, check_counts, check_enumeration, check_probability, min_l_degree, vertex_subset,
+)
 from .errors import DomainError
 from .exact import max_matching
 from .rng import TAG_SET_SAMPLE, CounterRng, _random_first_fit, random_hypergraph
@@ -79,12 +81,13 @@ def threshold_formula(n: int, k: int, l: int, m: int) -> int:
 def theorem_m_range(n: int, k: int, l: int, mu) -> range:
     """The theorem's m: n/k - mu*n <= m <= n/k - 1 - (1 - l/k)*a, for mu > 0; empty unless k/2 < l < k."""
     check_counts(n=n, k=k, l=l)
-    if mu <= 0:
+    q = _rational(mu)
+    if q is None or q <= 0:
         raise DomainError(f"mu must be a positive rational, got {mu}")
     if not k < 2 * l < 2 * k:
         return range(0)
     upper = Fraction(n, k) - 1 - (1 - Fraction(l, k)) * default_parameters(k, l).a
-    return range(max(0, ceil(Fraction(n, k) - mu * n)), floor(upper) + 1)
+    return range(max(0, ceil(Fraction(n, k) - q * n)), floor(upper) + 1)
 
 
 def threshold_sweep(k: int, l: int, n_start: int, n_end: int, mu=Fraction(1, 4), m_list=None,

@@ -36,7 +36,8 @@ and round one's degree probes.
 The argument rules that several modules share live here too: `check_counts`
 (an int), `check_positive` (eps, xi, alpha, rho) and `check_probability` (p,
 `--search-p`), each with one DomainError message, also for a value that
-Fraction() cannot read.
+Fraction() cannot read. `_rational` reads for them, and for the two rules
+with messages of their own: absorbing's 0 < rho < 1 and the sweep's mu > 0.
 
 The minimum l-degree also pays for the smaller count: it splits each edge into
 its l-sets, or, when more than half the k-sets are edges, each missing k-set.

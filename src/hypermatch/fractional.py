@@ -111,6 +111,11 @@ def _simplex_optimum(H: Hypergraph, force: bool = False):
     z = [0] * (m + 1)  # slack reduced costs (D * y), then D * value
     basis = [ne + v for v in covered]  # full-tableau columns: edges, then slacks
     D = 1
+    # Under Bland's rule the value z[m] / D never falls and no basis repeats, so
+    # either proves a broken pivot. `seen` holds the bases met since the value
+    # last rose, each as the bitmask of its columns.
+    value, mask = 0, sum(1 << b for b in basis)
+    seen = {mask}
 
     ends = list(zip(*cols))  # ends[t][j] is the t-th slack column of edge j
     while True:
@@ -165,8 +170,17 @@ def _simplex_optimum(H: Hypergraph, force: bool = False):
                 if i != leave_row:
                     rows[i] = _bareiss_row(rows[i], prow, coef, piv, D)
             z = _bareiss_row(z, prow, f, piv, D)
+        mask ^= 1 << enter | 1 << basis[leave_row]
         basis[leave_row] = enter
-        D = piv
+        rise = z[m] * D - value * piv
+        D, value = piv, z[m]
+        if rise < 0:
+            raise CertificationError("simplex value fell under Bland's rule; the pivot is broken")
+        if rise:
+            seen.clear()
+        elif mask in seen:
+            raise CertificationError("simplex revisited a basis under Bland's rule; the pivot is broken")
+        seen.add(mask)
 
     x = [0] * ne
     for i, b in enumerate(basis):

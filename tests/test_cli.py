@@ -244,11 +244,6 @@ class TestBasicCommands:
             capsys, "sweep", "--k", "3", "--l", "2", "--n-start", "9", "--n-end", "8"
         )
         assert code == 0 and rep["results"]["rows"] == []
-        _, csv_text = run(
-            capsys, "sweep", "--k", "3", "--l", "2", "--n-start", "9", "--n-end", "8",
-            "--format", "csv",
-        )
-        assert "results.rows,[]" in csv_text.splitlines()
 
     def test_sweep_reference_row(self, capsys):
         code, rep = run_json(
@@ -726,24 +721,6 @@ class TestReportDiscipline:
         _, first = run(capsys, "nu", barrier_file)
         _, second = run(capsys, "nu", barrier_file)
         assert first == second
-
-    def test_csv_agrees_with_json_field_for_field(self, capsys, tmp_path, barrier_file):
-        _, payload = run_json(capsys, "degrees", barrier_file, "--l", "1")
-        _, csv_text = run(capsys, "degrees", barrier_file, "--l", "1", "--format", "csv")
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "field,value"
-        fields = dict(line.split(",", 1) for line in lines[1:])
-        assert fields["results.min_degree"] == "13"
-        assert fields["command"] == "degrees"
-        # Every scalar leaf of the JSON payload appears in the CSV.
-        assert str(payload["results"]["l"]) == fields["results.l"]
-        # An empty container is a leaf too: nu on an edgeless host has no witness.
-        path = tmp_path / "edgeless.json"
-        save(Hypergraph(6, 3, []), path)
-        _, payload = run_json(capsys, "nu", str(path))
-        _, csv_text = run(capsys, "nu", str(path), "--format", "csv")
-        fields = dict(line.split(",", 1) for line in csv_text.strip().splitlines()[1:])
-        assert payload["results"]["witness"] == [] and fields["results.witness"] == "[]"
 
     def test_reports_echo_parameters_and_seed(self, capsys, tmp_path):
         path = tmp_path / "k9.json"

@@ -78,6 +78,7 @@ files = one(*FILES)
 outputs = one(*OUTPUTS)
 copies, probability = one("1", "3"), one("1/4", "1/2", "1")
 m_and_s = {"--m": one("1", "2"), "--s": one("2", "3")}
+seeds = one("0", "1", "5")  # --seed, which only the commands that draw take
 
 # Per command: positional arguments, required flags, optional flags, each
 # flag with its usual values (None for a switch).
@@ -96,28 +97,40 @@ COMMANDS = {
     "stable-check": ([files], {}, {}),
     "shadow": ([files], {}, {}),
     "closeness": ([files], m_and_s, {"--w": vertex_sets, "--alpha": one("1/10", "1/2")}),
-    "closest": ([files], m_and_s, {}),
-    "fdense": ([files], {"--eps": one("1/4", "1/2")}, {}),
+    "closest": ([files], m_and_s, {"--seed": seeds}),
+    "fdense": ([files], {"--eps": one("1/4", "1/2")}, {"--seed": seeds}),
     "absorb": (
         [files],
         {"--l": one("2"), "--a": one("1"), "--h": one("2"), "--rho": one("1/20", "1/5", "1/2")},
-        {"--absorb-set": vertex_sets, "--probes": one("0", "5")},
+        {"--absorb-set": vertex_sets, "--probes": one("0", "5"), "--seed": seeds},
     ),
-    "round1": ([files], {"--copies": copies, "--p": probability}, {"--probe-set": vertex_sets, "--xi": one("1/10")}),
-    "sparsify": ([files], {"--copies": copies, "--p": probability}, {"--eps": one("1/2"), "-o": outputs}),
-    "pipeline": ([files], {"--copies": copies, "--p": probability}, {"--sigma": one("1/2"), "--eps": one("1/2")}),
+    "round1": (
+        [files], {"--copies": copies, "--p": probability},
+        {"--probe-set": vertex_sets, "--xi": one("1/10"), "--seed": seeds},
+    ),
+    "sparsify": (
+        [files], {"--copies": copies, "--p": probability},
+        {"--eps": one("1/2"), "-o": outputs, "--seed": seeds},
+    ),
+    "pipeline": (
+        [files], {"--copies": copies, "--p": probability},
+        {"--sigma": one("1/2"), "--eps": one("1/2"), "--seed": seeds},
+    ),
     "verify": (
         [],
         {"--suite": one("katona", "frankl", "stability2")},
-        {"--trials": one("2", "4"), "--n": one("6", "8", "10"), "--rho": one("1/100", "1/10")},
+        {"--trials": one("2", "4"), "--n": one("6", "8", "10"), "--rho": one("1/100", "1/10"), "--seed": seeds},
     ),
     "sweep": (
         [],
         {"--k": one("3", "4"), "--l": one("2", "3"), "--n-start": one("6", "8"), "--n-end": one("8", "10")},
-        {"--mu": one("1/4", "1/2"), "--m-list": vertex_sets, "--search-trials": one("1", "3"), "--search-p": one("3/4")},
+        {
+            "--mu": one("1/4", "1/2"), "--m-list": vertex_sets, "--search-trials": one("1", "3"),
+            "--search-p": one("3/4"), "--seed": seeds,
+        },
     ),
 }
-COMMON = {"--seed": one("0", "1", "5"), "--force": None}
+COMMON = {"--force": None}
 
 
 @st.composite

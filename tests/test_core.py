@@ -23,6 +23,7 @@ from hypermatch import (
     remove,
     round1_sample,
     sample_absorbing_family,
+    theorem_m_range,
     threshold_sweep,
     to_json,
 )
@@ -227,34 +228,39 @@ def test_a_count_that_is_not_an_int_is_refused(call, name, value):
     assert str(caught.value) == f"{name} must be an integer, got {value!r}"
 
 
-# Each entry point of core.check_positive and core.check_probability: the
-# checked name, the rule, and a call that puts a value where the rule applies.
+# Each entry point of a rational rule whose value core reads: the checked name,
+# the rule's message for a value Fraction() cannot read, and a call that puts a
+# value where the rule applies. check_positive and check_probability own the
+# first two messages; absorbing's rho and the sweep's mu keep their own.
+POSITIVE, PROBABILITY = "{name} must be a positive rational", "{name} must lie in [0, 1], got {value!r}"
 RATIONAL_RULES = {
-    "pipeline-eps": ("eps", "positive", lambda v: almost_perfect_pipeline(K9, 2, Fraction(1, 2), 0, v)),
-    "round1-xi": ("xi", "positive",
+    "pipeline-eps": ("eps", POSITIVE, lambda v: almost_perfect_pipeline(K9, 2, Fraction(1, 2), 0, v)),
+    "round1-xi": ("xi", POSITIVE,
                   lambda v: check_round1_properties(round1_sample(K9, 2, Fraction(1, 2), 0), K9, (), v)),
-    "classify-good-alpha": ("alpha", "positive", lambda v: classify_good(K9, 3, 3, range(3), v)),
-    "fdense-eps": ("eps", "positive", lambda v: f_density_check(K9, v)),
-    "stability-closeness-xi": ("xi", "positive", lambda v: stability_closeness_check(complete_hypergraph(6, 2), 3, v)),
-    "stability2-rho": ("rho", "positive", lambda v: stability2_suite(1, rho=v)),
-    "pipeline-p": ("p", "probability", lambda v: almost_perfect_pipeline(K9, 2, v, 1)),
-    "random-hypergraph-p": ("p", "probability", lambda v: random_hypergraph(6, 3, v, 0)),
-    "sweep-search-p": ("--search-p", "probability", lambda v: threshold_sweep(3, 2, 6, 6, search_p=v)),
+    "classify-good-alpha": ("alpha", POSITIVE, lambda v: classify_good(K9, 3, 3, range(3), v)),
+    "fdense-eps": ("eps", POSITIVE, lambda v: f_density_check(K9, v)),
+    "stability-closeness-xi": ("xi", POSITIVE, lambda v: stability_closeness_check(complete_hypergraph(6, 2), 3, v)),
+    "stability2-rho": ("rho", POSITIVE, lambda v: stability2_suite(1, rho=v)),
+    "pipeline-p": ("p", PROBABILITY, lambda v: almost_perfect_pipeline(K9, 2, v, 1)),
+    "random-hypergraph-p": ("p", PROBABILITY, lambda v: random_hypergraph(6, 3, v, 0)),
+    "sweep-search-p": ("--search-p", PROBABILITY, lambda v: threshold_sweep(3, 2, 6, 6, search_p=v)),
+    "absorbing-rho": ("rho", "{name} must lie strictly between 0 and 1",
+                      lambda v: sample_absorbing_family(K9, AbsorbingParameters(3, 2, 1, 2), v, 0)),
+    "theorem-m-range-mu": ("mu", "{name} must be a positive rational, got {value}",
+                           lambda v: theorem_m_range(12, 3, 2, v)),
+    "sweep-mu": ("mu", "{name} must be a positive rational, got {value}", lambda v: threshold_sweep(3, 2, 6, 6, mu=v)),
 }
 
 
 @pytest.mark.parametrize("value", [None, "x", float("nan"), float("inf"), "1/0"], ids=repr)
 @pytest.mark.parametrize("entry", RATIONAL_RULES)
 def test_a_value_that_is_not_a_rational_is_refused(entry, value):
-    # Fraction() cannot read any of these. Some once raised a raw TypeError,
+    # Fraction() cannot read any of these. Each once raised a raw TypeError,
     # ValueError, OverflowError or ZeroDivisionError.
-    name, rule, call = RATIONAL_RULES[entry]
+    name, message, call = RATIONAL_RULES[entry]
     with pytest.raises(DomainError) as caught:
         call(value)
-    if rule == "positive":
-        assert str(caught.value) == f"{name} must be a positive rational"
-    else:
-        assert str(caught.value) == f"{name} must lie in [0, 1], got {value!r}"
+    assert str(caught.value) == message.format(name=name, value=value)
 
 
 @pytest.mark.parametrize("value, positive, probability", [

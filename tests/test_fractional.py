@@ -21,11 +21,11 @@ from hypermatch import fractional
 from hypermatch.cli import main
 from hypermatch.core import induced
 from hypermatch.errors import CertificationError, SizeLimitError
-from hypermatch.fractional import _simplex_optimum
+from hypermatch.fractional import _bareiss_row, _simplex_optimum
 from hypermatch.pipeline import round1_sample
 from hypermatch.rng import CounterRng, random_hypergraph
 
-from conftest import cli_under_a_memory_cap, pipeline_host
+from conftest import FANO_LINES, cli_under_a_memory_cap, pipeline_host
 
 seeds = st.integers(0, 10**9)
 
@@ -264,6 +264,36 @@ class TestCertificate:
         values = [*sol.edge_weights.values(), *sol.vertex_weights.values(), sol.nu_star, sol.tau_star]
         assert all(type(w) is Fraction for w in values)
         assert sol.vertex_weights[0] == sol.vertex_weights[9] == 0 and sol.nu_star == Fraction(7, 3)
+
+
+@pytest.mark.usefixtures("simplex_deadline")
+class TestBlandInvariants:
+    # Under Bland's rule the LP value never falls and no basis repeats, so a
+    # broken pivot raises at once instead of pivoting forever.
+    HOSTS = {"fano": Hypergraph(7, 3, FANO_LINES), "barrier": build_space_barrier(9, 3, 3, 2)}
+
+    @pytest.mark.parametrize("host", HOSTS)
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            lambda row, prow, f, piv, D: list(row),
+            lambda row, prow, f, piv, D: _bareiss_row(row, prow, -f, piv, D),
+            lambda row, prow, f, piv, D: _bareiss_row(row, prow, f, D, D),
+        ],
+        ids=["row-unchanged", "f-negated", "piv-as-D"],
+    )
+    def test_a_broken_row_update_lowers_the_value(self, monkeypatch, host, broken):
+        monkeypatch.setattr(fractional, "_bareiss_row", broken)
+        with pytest.raises(CertificationError, match="simplex value fell under Bland's rule"):
+            fractional_optimum(self.HOSTS[host])
+
+    @pytest.mark.parametrize("host", HOSTS)
+    def test_a_mispriced_entering_edge_revisits_a_basis(self, monkeypatch, host):
+        # An edge priced by its first vertex alone: a basic edge prices
+        # negative, enters again and pivots the basis back onto itself.
+        monkeypatch.setattr(fractional, "add", lambda a, b: a)
+        with pytest.raises(CertificationError, match="simplex revisited a basis under Bland's rule"):
+            fractional_optimum(self.HOSTS[host])
 
 
 class TestTableauGuard:

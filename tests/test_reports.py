@@ -1,18 +1,19 @@
-"""Reports render the library's result types: golden JSON and CSV field order.
+"""Reports render the library's result types: golden JSON.
 
 `golden_reports.json` maps each command line below to the exact stdout it
 printed when the handlers still copied result fields into dicts by hand
 (`CASES` up to the absorb lines), or when every command still built its own
-parser, loaded its own host and wrapped its own report (the rest, with
-`CSV_CASE` and the first `ERROR_CASES`), or when the library first refused a
-non-positive eps or xi (the last `ERROR_CASES`). Hosts and outputs are written
-under relative names, so the echoed `file` and `output` parameters do not
-depend on where the test runs.
+parser, loaded its own host and wrapped its own report (the rest, with the
+first `ERROR_CASES`), or when the library first refused a non-positive eps or
+xi (the next `ERROR_CASES`), or when `--format` was removed and reports became
+JSON only (the last). Hosts and outputs are written under relative names, so
+the echoed `file` and `output` parameters do not depend on where the test runs.
 """
 
 import argparse
 import functools
 import gc
+import inspect
 import json
 import os
 import shlex
@@ -69,8 +70,6 @@ CASES = [
     "sweep --k 3 --l 2 --n-start 9 --n-end 10 --m-list 1,2 --search-trials 2 --seed 5",
 ]
 
-CSV_CASE = "round1 k12.json --copies 2 --p 1/2 --seed 1 --probe-set 0,1 --format csv"
-
 # Error reports, each with the exit code it pins.
 ERROR_CASES = {
     "nu missing.json": 1,
@@ -79,6 +78,7 @@ ERROR_CASES = {
     "pipeline k12.json --copies 3 --p 1/2 --eps -1": 1,
     "sparsify k12.json --copies 6 --p 2/3 --seed 5 --eps 0": 1,
     "round1 k12.json --copies 2 --p 1/2 --seed 1 --xi 0": 1,
+    "nu fano.json --format csv": 1,
 }
 
 
@@ -95,28 +95,11 @@ def run(capsys, line):
     return code, capsys.readouterr().out
 
 
-def csv_fields(text):
-    lines = text.splitlines()
-    assert lines[0] == "field,value"
-    return [line.split(",", 1)[0] for line in lines[1:]]
-
-
-def json_fields(value, path=""):
-    """Leaf paths of a parsed JSON report, in the order the JSON text lists them."""
-    if isinstance(value, dict) and value:
-        items = value.items()
-    elif isinstance(value, list) and value:
-        items = enumerate(value)
-    else:
-        return [path]
-    return [f for k, v in items for f in json_fields(v, f"{path}.{k}" if path else str(k))]
-
-
 def golden(line):
     return json.loads(GOLDEN.read_text())[line]
 
 
-@pytest.mark.parametrize("line", [*CASES, CSV_CASE])
+@pytest.mark.parametrize("line", CASES)
 def test_report_matches_golden(capsys, host_dir, line):
     code, out = run(capsys, line)
     assert code == 0
@@ -129,14 +112,7 @@ def test_error_report_matches_golden(capsys, host_dir, line):
     assert (code, out) == (ERROR_CASES[line], golden(line))
 
 
-@pytest.mark.parametrize("line", CASES)
-def test_csv_fields_follow_json_key_order(capsys, host_dir, line):
-    _, out = run(capsys, line)
-    _, csv_text = run(capsys, line + " --format csv")
-    assert csv_fields(csv_text) == json_fields(json.loads(out))
-
-
-@pytest.mark.parametrize("line", [*CASES, CSV_CASE, *ERROR_CASES])
+@pytest.mark.parametrize("line", [*CASES, *ERROR_CASES])
 def test_leaves_no_reference_cycle(capsys, host_dir, line):
     # main pauses the collector for the command, so a garbage cycle it left
     # would stay in memory until the collector next ran. The window includes
@@ -227,7 +203,9 @@ class TestOneCommandTree:
         sub, whole_sub = choices(one)[name], choices(whole)[name]
         assert sub.format_help() == whole_sub.format_help()
 
-        lines = [line for line in json.loads(GOLDEN.read_text()) if line.split()[0] == name]
+        # The pinned --format line is a refusal, checked with the others below.
+        golden_lines = json.loads(GOLDEN.read_text())
+        lines = [line for line in golden_lines if line.split()[0] == name and "--format" not in line]
         assert lines
         for line in lines:
             argv = shlex.split(line)
@@ -235,13 +213,28 @@ class TestOneCommandTree:
             assert self.target(a.pop("handler")) == self.target(b.pop("handler"))
             assert a == b
 
-        # A missing required argument, an unknown flag and a bad value (not an int, a
-        # rational or an int list) for each typed flag.
+        # A missing required argument, an unknown flag, --format and a bad value (not
+        # an int, a rational or an int list) for each typed flag.
         base = shlex.split(lines[0])
-        refused = [[name], [*base, "--bogus"]]
+        refused = [[name], [*base, "--bogus"], [*base, "--format", "json"]]
         refused += [[*base, action.option_strings[-1], "1/0"] for action in sub._actions if action.type]
         for argv in refused:
             assert parse_error(one, argv) == parse_error(whole, argv)
+
+    @pytest.mark.parametrize("name", cli._SUBCOMMANDS)
+    def test_seed_parses_exactly_where_the_handler_reads_it(self, capsys, name):
+        handler, _, seeded, _ = cli._SUBCOMMANDS[name]
+        assert seeded == ("args.seed" in inspect.getsource(handler))
+        base = next(line for line in json.loads(GOLDEN.read_text()) if line.split()[0] == name)
+        refusals = ["--format json"]
+        if seeded:
+            assert cli.build_parser(name).parse_args(shlex.split(base + " --seed 77")).seed == 77
+        else:
+            refusals.append("--seed 77")
+        # A refused flag ends in exit 1 and a JSON error report, before any host is read.
+        for flags in refusals:
+            report = {"error": {"message": f"unrecognized arguments: {flags}", "type": "DomainError"}}
+            assert run(capsys, f"{base} {flags}") == (1, json.dumps(report, separators=(",", ":")) + "\n")
 
     @pytest.mark.parametrize(
         "argv, message",
